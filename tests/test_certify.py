@@ -18,7 +18,9 @@ from meancert.errors import DomainError, InputError
 from meancert.sandwich import (
     ABOVE,
     A_BELOW_B,
+    BELOW,
     B_BELOW_A,
+    STRADDLE,
     SandwichInterval,
     SpectralBox,
     UniformBox,
@@ -29,6 +31,38 @@ from meancert.sandwich import (
 
 def by_name(bounds):
     return {b.name: b for b in bounds}
+
+
+# one sandwich per regime: below, above, straddle
+REGIME_SANDWICHES = [(0.2, 0.8), (1.5, 6.0), (0.5, 2.0)]
+BOX = SpectralBox(0.5, 2.0, 3.0, 8.0)
+
+IN_UNIT_BOUNDS = ("thm1.lower", "thm1.upper", "young.classical", "straddle.mult.upper",
+                  "prop2.lower", "prop2.upper", "thm3.upper", "harm.lower", "harm.upper",
+                  "xi.upper", "tominaga.upper", "zuo", "specht", "dragomir")
+BOX_BOUNDS = ("ext.box.lower", "ext.box.upper", "ext.ibox.lower", "ext.ibox.upper")
+
+
+def expected_reasons(regime, in_unit, has_ubox, has_sbox):
+    """Name -> reason for every bound the catalog must mark inapplicable."""
+    if not in_unit:
+        reasons = dict.fromkeys(IN_UNIT_BOUNDS, "weight outside [0, 1]")
+        if not has_sbox:
+            reasons.update(dict.fromkeys(BOX_BOUNDS, "no spectral box supplied"))
+        return reasons
+    reasons = dict.fromkeys(("ext.lower", "ext.upper") + BOX_BOUNDS, "weight inside [0, 1]")
+    if regime == STRADDLE:
+        reasons.update(dict.fromkeys(
+            ("thm1.lower", "thm1.upper", "prop2.lower", "prop2.upper"),
+            "straddle regime: interval contains 1"))
+        reasons.update(dict.fromkeys(
+            ("zuo", "specht", "dragomir"),
+            "straddle regime: no one-sided ratio to feed the literature constants"))
+    else:
+        reasons["straddle.mult.upper"] = "not a straddle instance"
+    if not has_ubox:
+        reasons.update(dict.fromkeys(("xi.upper", "tominaga.upper"), "no uniform box supplied"))
+    return reasons
 
 
 class TestCatalog:
@@ -87,6 +121,66 @@ class TestCatalog:
                                  box_order=A_BELOW_B))
         assert bounds["ext.box.lower"].applicable
         assert bounds["ext.ibox.upper"].reference_matrix == "I"
+
+    @pytest.mark.parametrize("box", ["none", "uniform", A_BELOW_B, B_BELOW_A])
+    @pytest.mark.parametrize("v", [-0.5, 0.3, 1.5])
+    @pytest.mark.parametrize("s, t", REGIME_SANDWICHES)
+    def test_applicability_reasons(self, s, t, v, box):
+        sw = SandwichInterval.from_bounds(s, t)
+        kwargs = {"uniform": {"uniform_box": UniformBox(0.5, 4.0)},
+                  "none": {}}.get(box, {"spectral_box": BOX, "box_order": box})
+        reasons = expected_reasons(sw.regime, 0.0 <= v <= 1.0, box == "uniform",
+                                   box in (A_BELOW_B, B_BELOW_A))
+        for b in catalog(sw, v, **kwargs):
+            assert b.applicability_reason == reasons.get(b.name, ""), b.name
+            assert b.applicable == (b.name not in reasons), b.name
+            assert (b.constant is None) == (b.name in reasons), b.name
+
+    @pytest.mark.parametrize("v", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_harm_constants(self, v):
+        dual = lambda x: 1.0 / sc.f_v(x, 1.0 - v)  # noqa: E731
+        cases = [((0.5, 2.0), min(dual(0.5), dual(2.0)), 1.0),
+                 ((1.5, 6.0), dual(6.0), dual(1.5)),
+                 ((0.2, 0.8), dual(0.2), dual(0.8))]
+        for (s, t), lo, hi in cases:
+            bounds = by_name(catalog(SandwichInterval.from_bounds(s, t), v))
+            assert bounds["harm.lower"].constant == pytest.approx(lo, rel=1e-15)
+            assert bounds["harm.upper"].constant == pytest.approx(hi, rel=1e-15)
+
+    @pytest.mark.parametrize("v", [-1.0, -0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("s, t", REGIME_SANDWICHES)
+    def test_ext_upper_per_regime(self, s, t, v):
+        sw = SandwichInterval.from_bounds(s, t)
+        expected = {ABOVE: sc.g_v(s, v), BELOW: sc.g_v(t, v), STRADDLE: 0.0}[sw.regime]
+        bounds = by_name(catalog(sw, v))
+        assert bounds["ext.upper"].constant == pytest.approx(expected, rel=1e-15)
+        assert bounds["ext.lower"].constant == pytest.approx(
+            min(sc.g_v(s, v), sc.g_v(t, v)), rel=1e-15)
+
+    @pytest.mark.parametrize("v", [-1.0, -0.5, 1.5, 3.0])
+    def test_box_constants(self, v):
+        m_out, m_in, M_in, M_out = BOX.m_outer, BOX.m_inner, BOX.M_inner, BOX.M_outer
+        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        expected = {
+            A_BELOW_B: (-sc.g_v(M_in / m_in, v), -sc.g_v(M_out / m_out, v),
+                        -m_out * sc.g_v(M_in / m_in, v), -m_in * sc.g_v(M_out / m_out, v)),
+            B_BELOW_A: (-sc.g_v(m_in / M_in, v), -sc.g_v(m_out / M_out, v),
+                        -M_in * sc.g_v(m_in / M_in, v), -M_out * sc.g_v(m_out / M_out, v)),
+        }
+        for order, consts in expected.items():
+            bounds = by_name(catalog(sw, v, spectral_box=BOX, box_order=order))
+            got = [bounds[n].constant for n in
+                   ("ext.box.lower", "ext.box.upper", "ext.ibox.lower", "ext.ibox.upper")]
+            assert got == pytest.approx(list(consts), rel=1e-14)
+
+    def test_unknown_box_order(self):
+        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        with pytest.raises(InputError, match="unknown box order 'sideways'"):
+            catalog(sw, 1.5, spectral_box=BOX, box_order="sideways")
+        # the order is only read where the box bounds apply
+        assert not by_name(catalog(sw, 0.5, spectral_box=BOX, box_order="sideways"))[
+            "ext.box.lower"].applicable
+        assert not by_name(catalog(sw, 1.5, box_order="sideways"))["ext.box.lower"].applicable
 
     def test_lower_multiplicative_constants_at_least_one(self):
         for s, t in [(0.2, 0.8), (1.5, 6.0), (0.5, 2.0)]:
