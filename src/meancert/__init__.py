@@ -9,7 +9,6 @@ from .eigen import (
     eig_sym,
     loewner_geq_zero,
     mat_fpow,
-    spectral_bounds,
 )
 from .errors import DomainError, InputError, MeanCertError, NumericalError
 from .means import op_harm, op_nabla, op_sharp
@@ -20,12 +19,8 @@ from .sandwich import (
     sandwich_from_box,
     sandwich_of,
     uniform_box_of,
-    uniform_to_sandwich,
-    validate_sandwich,
 )
 from .scalars import (
-    RatioH,
-    Weight,
     dragomir_constant,
     f_v,
     g_v,

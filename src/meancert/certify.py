@@ -1,9 +1,10 @@
-"""Bound catalog assembly, numerical certification, and constant comparison.
+"""The bound table, numerical certification, and constant comparison.
 
-``catalog`` enumerates every named bound with its constant and an
-applicability flag, ``verify`` turns each applicable bound into a residual
-matrix and a Loewner verdict, and ``compare_constants`` tabulates the
-competing refinement constants on a grid point.
+``TABLE`` lists every named bound with a gate and a constant function;
+``catalog`` evaluates it for one sandwich and weight, ``verify`` turns each
+applicable bound into a residual matrix and a Loewner verdict, and
+``compare_constants`` tabulates the competing refinement constants on a
+grid point.
 
 Literature bounds (zuo, specht, dragomir, tominaga) are certified like the
 rest, but a violation is recorded as a finding rather than an overall
@@ -20,6 +21,7 @@ import numpy as np
 from . import scalars
 from .eigen import (
     DEFAULT_LOEWNER_TOL,
+    MAX_DIM,
     LoewnerVerdict,
     SymPDMatrix,
     loewner_geq_zero,
@@ -30,12 +32,12 @@ from .means import op_harm, op_nabla, op_sharp
 from .sandwich import (
     ABOVE,
     A_BELOW_B,
-    BELOW,
     B_BELOW_A,
     STRADDLE,
     SandwichInterval,
     SpectralBox,
     UniformBox,
+    sandwich_from_box,
 )
 
 MULTIPLICATIVE = "multiplicative"
@@ -45,30 +47,6 @@ UPPER = "upper"
 NABLA_VS_SHARP = "nabla_vs_sharp"
 HARM_VS_SHARP = "harm_vs_sharp"
 SHARP_VS_NABLA_EXTENDED = "sharp_vs_nabla_extended"
-
-# Stable ordering for report and CSV emission.
-CATALOG_ORDER = (
-    "thm1.lower",
-    "thm1.upper",
-    "young.classical",
-    "straddle.mult.upper",
-    "prop2.lower",
-    "prop2.upper",
-    "thm3.upper",
-    "harm.lower",
-    "harm.upper",
-    "xi.upper",
-    "tominaga.upper",
-    "zuo",
-    "specht",
-    "dragomir",
-    "ext.lower",
-    "ext.upper",
-    "ext.box.lower",
-    "ext.box.upper",
-    "ext.ibox.lower",
-    "ext.ibox.upper",
-)
 
 
 @dataclass(frozen=True)
@@ -84,24 +62,6 @@ class BoundStatement:
     source: str = ""
     literature: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "form": self.form,
-            "side": self.side,
-            "relation": self.relation,
-            "constant": self.constant,
-            "reference_matrix": self.reference_matrix,
-            "applicable": self.applicable,
-            "applicability_reason": self.applicability_reason,
-            "source": self.source,
-            "literature": self.literature,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundStatement":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -109,33 +69,11 @@ class Verdict:
     min_eig: float
     min_eig_normalized: float
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "min_eig": self.min_eig,
-            "min_eig_normalized": self.min_eig_normalized,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class BoundResult:
     statement: BoundStatement
     verdict: Verdict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "statement": self.statement.to_dict(),
-            "verdict": self.verdict.to_dict() if self.verdict else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundResult":
-        verdict = Verdict.from_dict(d["verdict"]) if d["verdict"] else None
-        return cls(BoundStatement.from_dict(d["statement"]), verdict)
 
 
 @dataclass(frozen=True)
@@ -149,7 +87,9 @@ class CertReport:
     def to_dict(self) -> dict:
         return {
             "instance": dict(self.instance),
-            "bounds": [r.to_dict() for r in self.results],
+            "bounds": [{"statement": dict(vars(r.statement)),
+                        "verdict": dict(vars(r.verdict)) if r.verdict else None}
+                       for r in self.results],
             "comparison": dict(self.comparison) if self.comparison else None,
             "findings": list(self.findings),
             "overall_pass": self.overall_pass,
@@ -159,7 +99,10 @@ class CertReport:
     def from_dict(cls, d: dict) -> "CertReport":
         return cls(
             instance=dict(d["instance"]),
-            results=tuple(BoundResult.from_dict(r) for r in d["bounds"]),
+            results=tuple(
+                BoundResult(BoundStatement(**r["statement"]),
+                            Verdict(**r["verdict"]) if r["verdict"] else None)
+                for r in d["bounds"]),
             comparison=dict(d["comparison"]) if d["comparison"] else None,
             findings=tuple(d["findings"]),
             overall_pass=d["overall_pass"],
@@ -168,6 +111,148 @@ class CertReport:
 
 def _in_unit(v: float) -> bool:
     return 0.0 <= v <= 1.0
+
+
+class _Point:
+    """What the gates and constants read for one sandwich, weight and boxes.
+
+    The regime is decided once: on a one-sided regime ``near`` is the
+    endpoint nearer 1 (s above, t below) and ``far`` the other one.  The
+    spectral box likewise gives ``box_near``/``box_far`` and the scales of
+    the identity-referenced bounds, chosen by the box order rather than by
+    the regime its sandwich falls in.
+    """
+
+    def __init__(self, sw, v, uniform_box, spectral_box, box_order):
+        self.s, self.t, self.v = sw.s, sw.t, v
+        self.in_unit = _in_unit(v)
+        self.straddle = sw.regime == STRADDLE
+        self.above = sw.regime == ABOVE
+        self.near, self.far = (sw.s, sw.t) if self.above else (sw.t, sw.s)
+        self.uniform_box = uniform_box
+        self.box_near = None  # stays None unless the spectral-box bounds apply
+        if not self.in_unit and spectral_box is not None and box_order is not None:
+            bsw, bx = sandwich_from_box(spectral_box, box_order), spectral_box
+            if box_order == A_BELOW_B:
+                self.box_near, self.box_far = bsw.s, bsw.t
+                self.box_lo_ref, self.box_hi_ref = bx.m_outer, bx.m_inner
+            else:
+                self.box_near, self.box_far = bsw.t, bsw.s
+                self.box_lo_ref, self.box_hi_ref = bx.M_inner, bx.M_outer
+
+    def f(self, x: float) -> float:
+        return scalars.f_v(x, self.v)
+
+    def g(self, x: float) -> float:
+        return scalars.g_v(x, self.v)
+
+    def dual(self, x: float) -> float:
+        """Geometric-harmonic ratio through the dual mean-ratio function."""
+        return 1.0 / scalars.f_v(x, 1.0 - self.v)
+
+    @property
+    def h_lit(self) -> float:
+        """The one-sided ratio fed to the literature constants."""
+        return self.near if self.above else 1.0 / self.near
+
+
+# Gates: "" when the bound applies, else the reason it does not.
+def _unit(p):
+    return "" if p.in_unit else "weight outside [0, 1]"
+
+
+def _one_sided(p):
+    return _unit(p) or ("straddle regime: interval contains 1" if p.straddle else "")
+
+
+def _straddle(p):
+    return _unit(p) or ("" if p.straddle else "not a straddle instance")
+
+
+def _uniform_box(p):
+    return _unit(p) or ("" if p.uniform_box is not None else "no uniform box supplied")
+
+
+def _literature(p):
+    return _unit(p) or (
+        "straddle regime: no one-sided ratio to feed the literature constants"
+        if p.straddle else "")
+
+
+def _extended(p):
+    return "weight inside [0, 1]" if p.in_unit else ""
+
+
+def _spectral_box(p):
+    return _extended(p) or ("" if p.box_near is not None else "no spectral box supplied")
+
+
+_THM1 = "sharp multiplicative bounds from the endpoint values of the mean-ratio function"
+_PROP2 = "sharp additive bounds from the endpoint values of the mean-gap function"
+_HARM = "geometric-harmonic bounds via the dual mean-ratio function"
+_BOX = "extended-weight reversed-gap bounds from the spectral box"
+
+# (name, form, side, relation, reference matrix, literature, source, gate,
+# constant), in report and CSV order.  A constant is read only when its gate
+# passes.
+TABLE = (
+    ("thm1.lower", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, "A", False, _THM1,
+     _one_sided, lambda p: p.f(p.near)),
+    ("thm1.upper", MULTIPLICATIVE, UPPER, NABLA_VS_SHARP, "A", False, _THM1,
+     _one_sided, lambda p: p.f(p.far)),
+    ("young.classical", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, "A", False,
+     "classical arithmetic-geometric chain; the straddle lower bound",
+     _unit, lambda p: 1.0),
+    ("straddle.mult.upper", MULTIPLICATIVE, UPPER, NABLA_VS_SHARP, "A", False,
+     "derived: endpoint maximum of the mean-ratio function; "
+     "not one of the cited sharp results",
+     _straddle, lambda p: max(p.f(p.s), p.f(p.t))),
+    ("prop2.lower", ADDITIVE, LOWER, NABLA_VS_SHARP, "A", False, _PROP2,
+     _one_sided, lambda p: p.g(p.near)),
+    ("prop2.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, "A", False, _PROP2,
+     _one_sided, lambda p: p.g(p.far)),
+    ("thm3.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, "A", False,
+     "additive reverse: endpoint maximum of the mean-gap function (any regime)",
+     _unit, lambda p: max(p.g(p.s), p.g(p.t))),
+    ("harm.lower", MULTIPLICATIVE, LOWER, HARM_VS_SHARP, "A", False, _HARM,
+     _unit, lambda p: min(p.dual(p.s), p.dual(p.t)) if p.straddle else p.dual(p.far)),
+    ("harm.upper", MULTIPLICATIVE, UPPER, HARM_VS_SHARP, "A", False, _HARM,
+     _unit, lambda p: 1.0 if p.straddle else p.dual(p.near)),
+    ("xi.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, "A", False,
+     "additive reverse from the normalized endpoint gaps of the uniform box",
+     _uniform_box, lambda p: max(p.g(p.uniform_box.h), p.g(1.0 / p.uniform_box.h))),
+    ("tominaga.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, "A", True,
+     "literature: logarithmic-mean times log-Specht additive reverse",
+     _uniform_box, lambda p: scalars.tominaga_additive(p.uniform_box.h)),
+    ("zuo", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, "A", True,
+     "literature: Kantorovich-power refinement constant, condition assumed",
+     _literature, lambda p: scalars.zuo_constant(p.h_lit, p.v)),
+    ("specht", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, "A", True,
+     "literature: Specht-ratio refinement constant, condition assumed",
+     _literature, lambda p: scalars.specht_constant(p.h_lit, p.v)),
+    ("dragomir", MULTIPLICATIVE, UPPER, NABLA_VS_SHARP, "A", True,
+     "literature: exponential reverse constant, condition assumed",
+     _literature, lambda p: scalars.dragomir_constant(p.h_lit, p.v)),
+    # Extended weights: the arithmetic-geometric gap flips sign.
+    ("ext.lower", ADDITIVE, LOWER, NABLA_VS_SHARP, "A", False,
+     "extended-weight additive lower bound: endpoint minimum of the "
+     "(concave) mean-gap function",
+     _extended, lambda p: min(p.g(p.s), p.g(p.t))),
+    # on a straddle the gap function peaks at 1, where it is 0
+    ("ext.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, "A", False,
+     "extended-weight additive upper bound: regime maximum of the mean-gap function",
+     _extended, lambda p: 0.0 if p.straddle else p.g(p.near)),
+    ("ext.box.lower", ADDITIVE, LOWER, SHARP_VS_NABLA_EXTENDED, "A", False, _BOX,
+     _spectral_box, lambda p: -p.g(p.box_near)),
+    ("ext.box.upper", ADDITIVE, UPPER, SHARP_VS_NABLA_EXTENDED, "A", False, _BOX,
+     _spectral_box, lambda p: -p.g(p.box_far)),
+    ("ext.ibox.lower", ADDITIVE, LOWER, SHARP_VS_NABLA_EXTENDED, "I", False, _BOX,
+     _spectral_box, lambda p: p.box_lo_ref * -p.g(p.box_near)),
+    ("ext.ibox.upper", ADDITIVE, UPPER, SHARP_VS_NABLA_EXTENDED, "I", False, _BOX,
+     _spectral_box, lambda p: p.box_hi_ref * -p.g(p.box_far)),
+)
+
+CATALOG_ORDER = tuple(row[0] for row in TABLE)
 
 
 def catalog(
@@ -182,180 +267,13 @@ def catalog(
     Inapplicable entries are kept (with constant None and a reason) so the
     report always enumerates the full catalog in a stable order.
     """
-    s, t, regime = sw.s, sw.t, sw.regime
-    in_unit = _in_unit(v)
-    out: list[BoundStatement] = []
-
-    def add(name, form, side, relation, constant, *, ref="A", applicable=True,
-            reason="", source="", literature=False):
-        out.append(BoundStatement(
-            name=name, form=form, side=side, relation=relation,
-            constant=constant, reference_matrix=ref, applicable=applicable,
-            applicability_reason=reason, source=source, literature=literature,
-        ))
-
-    unit_gate = "weight outside [0, 1]"
-    ext_gate = "weight inside [0, 1]"
-
-    # Sharp multiplicative two-sided bounds on the one-sided regimes.
-    if in_unit and regime == BELOW:
-        lo, hi = scalars.f_v(t, v), scalars.f_v(s, v)
-    elif in_unit and regime == ABOVE:
-        lo, hi = scalars.f_v(s, v), scalars.f_v(t, v)
-    else:
-        lo = hi = None
-    reason = "" if lo is not None else (
-        unit_gate if not in_unit else "straddle regime: interval contains 1"
-    )
-    src = "sharp multiplicative bounds from the endpoint values of the mean-ratio function"
-    add("thm1.lower", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, lo,
-        applicable=lo is not None, reason=reason, source=src)
-    add("thm1.upper", MULTIPLICATIVE, UPPER, NABLA_VS_SHARP, hi,
-        applicable=hi is not None, reason=reason, source=src)
-
-    add("young.classical", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP,
-        1.0 if in_unit else None, applicable=in_unit,
-        reason="" if in_unit else unit_gate,
-        source="classical arithmetic-geometric chain; the straddle lower bound")
-
-    straddle = in_unit and regime == STRADDLE
-    add("straddle.mult.upper", MULTIPLICATIVE, UPPER, NABLA_VS_SHARP,
-        max(scalars.f_v(s, v), scalars.f_v(t, v)) if straddle else None,
-        applicable=straddle,
-        reason="" if straddle else (unit_gate if not in_unit else "not a straddle instance"),
-        source="derived: endpoint maximum of the mean-ratio function; "
-               "not one of the cited sharp results")
-
-    # Sharp additive two-sided bounds on the one-sided regimes.
-    if in_unit and regime == BELOW:
-        alo, ahi = scalars.g_v(t, v), scalars.g_v(s, v)
-    elif in_unit and regime == ABOVE:
-        alo, ahi = scalars.g_v(s, v), scalars.g_v(t, v)
-    else:
-        alo = ahi = None
-    reason = "" if alo is not None else (
-        unit_gate if not in_unit else "straddle regime: interval contains 1"
-    )
-    src = "sharp additive bounds from the endpoint values of the mean-gap function"
-    add("prop2.lower", ADDITIVE, LOWER, NABLA_VS_SHARP, alo,
-        applicable=alo is not None, reason=reason, source=src)
-    add("prop2.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, ahi,
-        applicable=ahi is not None, reason=reason, source=src)
-
-    add("thm3.upper", ADDITIVE, UPPER, NABLA_VS_SHARP,
-        max(scalars.g_v(s, v), scalars.g_v(t, v)) if in_unit else None,
-        applicable=in_unit, reason="" if in_unit else unit_gate,
-        source="additive reverse: endpoint maximum of the mean-gap function (any regime)")
-
-    # Geometric-harmonic bounds, encoded through the dual ratio 1/f_{1-v}.
-    if in_unit:
-        dual = lambda x: 1.0 / scalars.f_v(x, 1.0 - v)  # noqa: E731
-        if regime == ABOVE:
-            hlo, hhi = dual(t), dual(s)
-        elif regime == BELOW:
-            hlo, hhi = dual(s), dual(t)
-        else:
-            hlo, hhi = min(dual(s), dual(t)), 1.0
-    else:
-        hlo = hhi = None
-    src = "geometric-harmonic bounds via the dual mean-ratio function"
-    add("harm.lower", MULTIPLICATIVE, LOWER, HARM_VS_SHARP, hlo,
-        applicable=in_unit, reason="" if in_unit else unit_gate, source=src)
-    add("harm.upper", MULTIPLICATIVE, UPPER, HARM_VS_SHARP, hhi,
-        applicable=in_unit, reason="" if in_unit else unit_gate, source=src)
-
-    # Bounds that need the shared uniform box.
-    has_ubox = uniform_box is not None
-    ubox_gate = "" if (in_unit and has_ubox) else (
-        unit_gate if not in_unit else "no uniform box supplied")
-    if in_unit and has_ubox:
-        h = uniform_box.h
-        xi = max(scalars.g_v(h, v), scalars.g_v(1.0 / h, v))
-        tom = scalars.tominaga_additive(h)
-    else:
-        xi = tom = None
-    add("xi.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, xi,
-        applicable=xi is not None, reason=ubox_gate,
-        source="additive reverse from the normalized endpoint gaps of the uniform box")
-    add("tominaga.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, tom,
-        applicable=tom is not None, reason=ubox_gate,
-        source="literature: logarithmic-mean times log-Specht additive reverse",
-        literature=True)
-
-    # Literature multiplicative constants on the one-sided regimes.
-    if in_unit and regime in (ABOVE, BELOW):
-        h_lit = s if regime == ABOVE else 1.0 / t
-        lit_gate = ""
-        zuo = scalars.zuo_constant(h_lit, v)
-        spc = scalars.specht_constant(h_lit, v)
-        drg = scalars.dragomir_constant(h_lit, v)
-    else:
-        lit_gate = unit_gate if not in_unit else \
-            "straddle regime: no one-sided ratio to feed the literature constants"
-        zuo = spc = drg = None
-    add("zuo", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, zuo,
-        applicable=zuo is not None, reason=lit_gate,
-        source="literature: Kantorovich-power refinement constant, condition assumed",
-        literature=True)
-    add("specht", MULTIPLICATIVE, LOWER, NABLA_VS_SHARP, spc,
-        applicable=spc is not None, reason=lit_gate,
-        source="literature: Specht-ratio refinement constant, condition assumed",
-        literature=True)
-    add("dragomir", MULTIPLICATIVE, UPPER, NABLA_VS_SHARP, drg,
-        applicable=drg is not None, reason=lit_gate,
-        source="literature: exponential reverse constant, condition assumed",
-        literature=True)
-
-    # Extended weights: the arithmetic-geometric gap flips sign.
-    ext = not in_unit
-    add("ext.lower", ADDITIVE, LOWER, NABLA_VS_SHARP,
-        min(scalars.g_v(s, v), scalars.g_v(t, v)) if ext else None,
-        applicable=ext, reason="" if ext else ext_gate,
-        source="extended-weight additive lower bound: endpoint minimum of the "
-               "(concave) mean-gap function")
-    if ext:
-        if regime == BELOW:
-            ext_hi = scalars.g_v(t, v)
-        elif regime == ABOVE:
-            ext_hi = scalars.g_v(s, v)
-        else:
-            ext_hi = 0.0  # the gap function peaks at 1 inside a straddle interval
-    else:
-        ext_hi = None
-    add("ext.upper", ADDITIVE, UPPER, NABLA_VS_SHARP, ext_hi,
-        applicable=ext, reason="" if ext else ext_gate,
-        source="extended-weight additive upper bound: regime maximum of the mean-gap function")
-
-    # Extended weights with a full spectral box: reversed-gap bounds, both
-    # A-scaled and identity-scaled.
-    has_sbox = spectral_box is not None and box_order is not None
-    if ext and has_sbox:
-        bx = spectral_box
-        if box_order == A_BELOW_B:
-            s_in, t_out = bx.M_inner / bx.m_inner, bx.M_outer / bx.m_outer
-            blo, bhi = -scalars.g_v(s_in, v), -scalars.g_v(t_out, v)
-            ilo, ihi = bx.m_outer * blo, bx.m_inner * bhi
-        elif box_order == B_BELOW_A:
-            s_out, t_in = bx.m_outer / bx.M_outer, bx.m_inner / bx.M_inner
-            blo, bhi = -scalars.g_v(t_in, v), -scalars.g_v(s_out, v)
-            ilo, ihi = bx.M_inner * blo, bx.M_outer * bhi
-        else:
-            raise InputError(f"unknown box order '{box_order}'")
-    else:
-        blo = bhi = ilo = ihi = None
-    sbox_gate = "" if (ext and has_sbox) else (
-        ext_gate if in_unit else "no spectral box supplied")
-    src = "extended-weight reversed-gap bounds from the spectral box"
-    add("ext.box.lower", ADDITIVE, LOWER, SHARP_VS_NABLA_EXTENDED, blo,
-        applicable=blo is not None, reason=sbox_gate, source=src)
-    add("ext.box.upper", ADDITIVE, UPPER, SHARP_VS_NABLA_EXTENDED, bhi,
-        applicable=bhi is not None, reason=sbox_gate, source=src)
-    add("ext.ibox.lower", ADDITIVE, LOWER, SHARP_VS_NABLA_EXTENDED, ilo,
-        ref="I", applicable=ilo is not None, reason=sbox_gate, source=src)
-    add("ext.ibox.upper", ADDITIVE, UPPER, SHARP_VS_NABLA_EXTENDED, ihi,
-        ref="I", applicable=ihi is not None, reason=sbox_gate, source=src)
-
-    assert [b.name for b in out] == list(CATALOG_ORDER)
+    p = _Point(sw, v, uniform_box, spectral_box, box_order)
+    out = []
+    for name, form, side, relation, ref, literature, source, gate, constant in TABLE:
+        reason = gate(p)
+        out.append(BoundStatement(name, form, side, relation,
+                                  None if reason else constant(p), ref, not reason,
+                                  reason, source, literature))
     return out
 
 
@@ -480,8 +398,8 @@ def gen_instance(dim: int, s0: float, t0: float, seed: int) -> tuple[SymPDMatrix
     """
     if not 0.0 < s0 <= t0:
         raise InputError(f"need 0 < s0 <= t0, got ({s0}, {t0})")
-    if not 1 <= dim <= 512:
-        raise InputError(f"dimension {dim} out of range [1, 512]")
+    if not 1 <= dim <= MAX_DIM:
+        raise InputError(f"dimension {dim} out of range [1, {MAX_DIM}]")
     if dim == 1 and s0 != t0:
         raise InputError("a 1x1 instance cannot realize s0 < t0")
     rng = np.random.default_rng(seed)
@@ -504,8 +422,8 @@ def gen_box_instance(
     Under A_BELOW_B the spectrum of A fills [m', m] and that of B fills
     [M, M'] (endpoints attained for dim >= 2); B_BELOW_A swaps the roles.
     """
-    if not 1 <= dim <= 512:
-        raise InputError(f"dimension {dim} out of range [1, 512]")
+    if not 1 <= dim <= MAX_DIM:
+        raise InputError(f"dimension {dim} out of range [1, {MAX_DIM}]")
     rng = np.random.default_rng(seed)
     lo_band = (box.m_outer, box.m_inner)
     hi_band = (box.M_inner, box.M_outer)

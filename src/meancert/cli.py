@@ -19,7 +19,7 @@ import numpy as np
 
 from . import certify
 from .certify import CATALOG_ORDER, CertReport, catalog, compare_constants, verify
-from .eigen import SymPDMatrix
+from .eigen import DEFAULT_LOEWNER_TOL, MAX_DIM, SymPDMatrix
 from .errors import DomainError, InputError, NumericalError
 from .sandwich import ABOVE, BELOW, sandwich_of, uniform_box_of
 
@@ -59,11 +59,6 @@ def load_matrix(path: str) -> SymPDMatrix:
         return SymPDMatrix(arr)
     except (InputError, DomainError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def save_matrix(path: str, mat: np.ndarray):
-    obj = {"dim": int(mat.shape[0]), "data": [[float(x) for x in row] for row in mat]}
-    Path(path).write_text(json.dumps(obj), encoding="utf-8")
 
 
 def emit_report(report: CertReport) -> str:
@@ -204,8 +199,8 @@ def cmd_random(args) -> int:
         raise InputError(
             f"unknown regime '{args.regime}' (choose from {', '.join(RANDOM_REGIMES)})"
         )
-    if args.count < 0 or not 1 <= args.dim <= 512:
-        raise InputError("count must be >= 0 and dim in [1, 512]")
+    if args.count < 0 or not 1 <= args.dim <= MAX_DIM:
+        raise InputError(f"count must be >= 0 and dim in [1, {MAX_DIM}]")
     v = args.v
     if v is None:
         v = 1.5 if args.regime == "extended" else 0.5
@@ -270,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="relative Loewner tolerance (default 1e-9)")
+        p.add_argument("--tol", type=float, default=DEFAULT_LOEWNER_TOL,
+                       help="relative Loewner tolerance (default %(default)s)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("check", help="certify one (A, B, v) instance")

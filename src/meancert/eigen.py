@@ -262,8 +262,3 @@ def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL) -> LoewnerVerdict:
     min_eig = float(dec.eigenvalues[0])
     norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
     return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, norm), min_eig)
-
-
-def spectral_bounds(x: SymPDMatrix) -> tuple[float, float]:
-    """Tightest scalar box: (lambda_min, lambda_max) of a PD matrix."""
-    return float(x.eigenvalues[0]), float(x.eigenvalues[-1])

@@ -5,14 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigen import (
-    DEFAULT_LOEWNER_TOL,
-    SymPDMatrix,
-    congruence,
-    eig_sym,
-    loewner_geq_zero,
-    mat_fpow,
-)
+from .eigen import SymPDMatrix, congruence, eig_sym, mat_fpow
 from .errors import DomainError, InputError
 
 BELOW = "below"
@@ -116,30 +109,6 @@ def sandwich_of(a: SymPDMatrix, b: SymPDMatrix) -> SandwichInterval:
     return SandwichInterval.from_bounds(s, t, tight=True)
 
 
-def validate_sandwich(
-    a: SymPDMatrix,
-    b: SymPDMatrix,
-    s: float,
-    t: float,
-    tol_rel: float = DEFAULT_LOEWNER_TOL,
-) -> SandwichInterval:
-    """Accept user-supplied scalars only after checking them against A, B."""
-    sw = SandwichInterval.from_bounds(s, t, tight=False)
-    lower = loewner_geq_zero(b.mat - s * a.mat, tol_rel)
-    upper = loewner_geq_zero(t * a.mat - b.mat, tol_rel)
-    if not lower.holds:
-        raise InputError(
-            f"supplied s={s} is not a lower sandwich scalar "
-            f"(min eigenvalue of B - sA is {lower.min_eig:.6e})"
-        )
-    if not upper.holds:
-        raise InputError(
-            f"supplied t={t} is not an upper sandwich scalar "
-            f"(min eigenvalue of tA - B is {upper.min_eig:.6e})"
-        )
-    return sw
-
-
 def sandwich_from_box(box: SpectralBox, order: str) -> SandwichInterval:
     """Convert box hypotheses to sandwich scalars.
 
@@ -160,9 +129,3 @@ def uniform_box_of(a: SymPDMatrix, b: SymPDMatrix) -> UniformBox:
     m = float(min(a.eigenvalues[0], b.eigenvalues[0]))
     M = float(max(a.eigenvalues[-1], b.eigenvalues[-1]))
     return UniformBox(m, M)
-
-
-def uniform_to_sandwich(box: UniformBox) -> SandwichInterval:
-    """A shared box mI <= A,B <= MI forces (1/h)A <= B <= hA."""
-    h = box.h
-    return SandwichInterval.from_bounds(1.0 / h, h, tight=False)

@@ -9,45 +9,11 @@ diagonal) are filled in by explicit continuity branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 SPECHT_SERIES_WINDOW = 1e-8
 LOG_MEAN_REL_WINDOW = 1e-12
-
-
-@dataclass(frozen=True)
-class Weight:
-    """The mean weight v, which may lie outside [0, 1]."""
-
-    v: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.v):
-            raise DomainError(f"weight must be finite, got {self.v}")
-
-    @property
-    def in_unit(self) -> bool:
-        return 0.0 <= self.v <= 1.0
-
-    @property
-    def r(self) -> float:
-        """min(v, 1-v); only defined for weights inside [0, 1]."""
-        if not self.in_unit:
-            raise DomainError(f"r undefined for weight {self.v} outside [0, 1]")
-        return min(self.v, 1.0 - self.v)
-
-
-@dataclass(frozen=True)
-class RatioH:
-    """A positive condition-number-like ratio."""
-
-    h: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise DomainError(f"ratio must be positive and finite, got {self.h}")
 
 
 def _require_positive(name: str, x: float):

@@ -10,7 +10,6 @@ from meancert.eigen import (
     eig_sym,
     loewner_geq_zero,
     mat_fpow,
-    spectral_bounds,
 )
 from meancert.errors import DomainError, InputError, NumericalError
 
@@ -251,23 +250,3 @@ class TestLoewner:
         x = np.diag([1e6, -1e-4])
         assert loewner_geq_zero(x, 1e-9).holds
         assert not loewner_geq_zero(x, 1e-12).holds
-
-
-class TestSpectralBounds:
-    def test_diagonal(self):
-        assert spectral_bounds(SymPDMatrix(np.diag([2.0, 3.0]))) == (2.0, 3.0)
-
-    def test_scalar_multiple_of_identity(self):
-        assert spectral_bounds(SymPDMatrix(4.0 * np.eye(3))) == (4.0, 4.0)
-
-    def test_two_by_two(self):
-        lo, hi = spectral_bounds(SymPDMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        assert lo == pytest.approx(1.0, abs=1e-13)
-        assert hi == pytest.approx(3.0, abs=1e-13)
-
-    def test_box_holds_by_construction(self):
-        rng = np.random.default_rng(9)
-        m = random_pd(rng, 6)
-        lo, hi = spectral_bounds(m)
-        assert loewner_geq_zero(m.mat - lo * np.eye(6)).holds
-        assert loewner_geq_zero(hi * np.eye(6) - m.mat).holds

@@ -12,13 +12,10 @@ from meancert.sandwich import (
     STRADDLE,
     SandwichInterval,
     SpectralBox,
-    UniformBox,
     classify_regime,
     sandwich_from_box,
     sandwich_of,
     uniform_box_of,
-    uniform_to_sandwich,
-    validate_sandwich,
 )
 
 from test_eigen import random_pd
@@ -92,24 +89,6 @@ class TestSandwichOf:
             assert sw.t == pytest.approx(t0, rel=1e-8)
 
 
-class TestValidateSandwich:
-    def test_accepts_valid_user_scalars(self):
-        rng = np.random.default_rng(2)
-        a, b = random_pd(rng, 4), random_pd(rng, 4)
-        tight = sandwich_of(a, b)
-        sw = validate_sandwich(a, b, tight.s * 0.9, tight.t * 1.1)
-        assert not sw.tight
-
-    def test_rejects_false_hypothesis(self):
-        rng = np.random.default_rng(3)
-        a, b = random_pd(rng, 4), random_pd(rng, 4)
-        tight = sandwich_of(a, b)
-        with pytest.raises(InputError):
-            validate_sandwich(a, b, tight.s * 1.01, tight.t * 2)
-        with pytest.raises(InputError):
-            validate_sandwich(a, b, tight.s * 0.5, tight.t * 0.99)
-
-
 class TestBoxes:
     def test_spectral_box_validation(self):
         SpectralBox(1.0, 2.0, 3.0, 6.0)
@@ -151,14 +130,6 @@ class TestBoxes:
         box = uniform_box_of(SymPDMatrix(2 * np.eye(3)), SymPDMatrix(3 * np.eye(3)))
         assert (box.m, box.M) == (2.0, 3.0)
         assert box.h == pytest.approx(1.5)
-
-    def test_uniform_to_sandwich(self):
-        sw = uniform_to_sandwich(UniformBox(1.0, 4.0))
-        assert (sw.s, sw.t) == (0.25, 4.0)
-        assert sw.regime == STRADDLE
-        assert uniform_to_sandwich(UniformBox(1.0, 1.0)).regime == ABOVE
-        sw = uniform_to_sandwich(UniformBox(2.0, 4.0))
-        assert (sw.s, sw.t) == (0.5, 2.0)
 
     def test_uniform_box_contains_both(self):
         rng = np.random.default_rng(4)

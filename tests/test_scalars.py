@@ -180,25 +180,3 @@ class TestNamedConstants:
         expected = sc.log_mean(1, 4) * math.log(sc.specht(4))
         assert sc.tominaga_additive(4) == pytest.approx(expected, rel=1e-14)
         assert sc.tominaga_additive(2) > 0
-
-
-class TestWeight:
-    def test_in_unit(self):
-        assert sc.Weight(0.3).in_unit
-        assert sc.Weight(0.0).in_unit
-        assert not sc.Weight(1.5).in_unit
-
-    def test_r(self):
-        assert sc.Weight(0.3).r == pytest.approx(0.3)
-        assert sc.Weight(0.8).r == pytest.approx(0.2, rel=1e-15)
-        with pytest.raises(DomainError):
-            sc.Weight(2.0).r
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            sc.Weight(math.nan)
-
-    def test_ratio_positive(self):
-        with pytest.raises(DomainError):
-            sc.RatioH(-1.0)
-        assert sc.RatioH(2.0).h == 2.0
