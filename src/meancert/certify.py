@@ -374,6 +374,12 @@ def compare_constants(h: float, v: float) -> dict:
     }
 
 
+def comparison_of(sw: SandwichInterval, v: float) -> dict | None:
+    """The comparison row at the literature ratio when those bounds apply and it is >= 1."""
+    p = _Point(sw, v, None, None, None)
+    return None if _literature(p) or not p.h_lit >= 1.0 else compare_constants(p.h_lit, v)
+
+
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     if n == 1:
         return np.array([[1.0 if rng.random() < 0.5 else -1.0]])

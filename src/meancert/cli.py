@@ -21,7 +21,7 @@ from . import certify
 from .certify import CATALOG_ORDER, CertReport, catalog, compare_constants, verify
 from .eigen import DEFAULT_LOEWNER_TOL, MAX_DIM, SymPDMatrix
 from .errors import DomainError, InputError, NumericalError
-from .sandwich import ABOVE, BELOW, sandwich_of, uniform_box_of
+from .sandwich import sandwich_of, uniform_box_of
 
 EXIT_PASS = 0
 EXIT_BOUND_FAILED = 1
@@ -123,11 +123,6 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
     sw = sandwich_of(a, b)
     ubox = uniform_box_of(a, b)
     bounds = catalog(sw, v, uniform_box=ubox)
-    comparison = None
-    if 0.0 <= v <= 1.0 and sw.regime in (ABOVE, BELOW):
-        h = sw.s if sw.regime == ABOVE else 1.0 / sw.t
-        if h >= 1.0:
-            comparison = compare_constants(h, v)
     instance = {
         "dim": a.dim,
         "v": v,
@@ -140,7 +135,8 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
                         "degenerate": ubox.degenerate},
         "spectral_box": None,
     }
-    return verify(a, b, v, bounds, tol, instance=instance, comparison=comparison)
+    return verify(a, b, v, bounds, tol, instance=instance,
+                  comparison=certify.comparison_of(sw, v))
 
 
 def cmd_check(args) -> int:
@@ -264,17 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_LOEWNER_TOL,
-                       help="relative Loewner tolerance (default %(default)s)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    tol = {"type": float, "default": DEFAULT_LOEWNER_TOL,
+           "help": "relative Loewner tolerance (default %(default)s)"}
+    out = {"default": None, "help": "output path (default stdout)"}
 
     p = sub.add_parser("check", help="certify one (A, B, v) instance")
     p.add_argument("--matrix-a", required=True)
     p.add_argument("--matrix-b", required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
+    p.add_argument("--tol", **tol)
+    p.add_argument("--out", **out)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="tabulate constants and residuals across v")
@@ -282,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-b", required=True)
     p.add_argument("--v-range", nargs=3, type=float, required=True,
                    metavar=("START", "END", "STEPS"))
-    common(p)
+    p.add_argument("--tol", **tol)
+    p.add_argument("--out", **out)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("random", help="certify random regime-controlled instances")
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regime", required=True)
     p.add_argument("--v", type=float, default=None)
-    common(p)
+    p.add_argument("--tol", **tol)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("compare", help="compare refinement constants on a grid")
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-range", nargs=3, type=float, required=True,
                    metavar=("START", "END", "STEPS"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
+    p.add_argument("--out", **out)
     p.set_defaults(func=cmd_compare)
 
     return parser

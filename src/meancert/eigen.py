@@ -28,9 +28,7 @@ try:
 except ImportError:  # the kernel then runs as plain Python on nested lists
     JITTED = False
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
+    def njit(**kwargs):
         return lambda f: f
 
 
@@ -143,7 +141,7 @@ def eig_sym(x) -> SpectralDecomposition:
         raise NumericalError("matrix Frobenius norm overflowed")
     if norm == 0.0:
         return SpectralDecomposition(np.zeros(n), np.eye(n))
-    a = 0.5 * (arr + arr.T).astype(float)
+    a = 0.5 * (arr + arr.T)
     vec = np.eye(n)
     if JITTED:
         status = _jacobi_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
@@ -202,48 +200,28 @@ class SymPDMatrix:
         dec = SpectralDecomposition(evals[order], np.ascontiguousarray(q[:, order]))
         return cls(dec.apply(dec.eigenvalues), _decomp=dec)
 
-    @property
-    def decomposition(self) -> SpectralDecomposition:
-        return SpectralDecomposition(self.eigenvalues, self.eigenvectors)
-
     def __repr__(self) -> str:
         return f"SymPDMatrix(dim={self.dim})"
 
 
-def mat_fpow(x, p: float):
-    """Fractional matrix power through the spectral decomposition.
-
-    For a SymPDMatrix input the cached decomposition is reused and a
-    SymPDMatrix is returned; a plain symmetric array is accepted for
-    integer powers p >= 0 and returns an array.
-    """
-    if isinstance(x, SymPDMatrix):
-        dec = x.decomposition
-    else:
-        dec = eig_sym(x)
-    evals = dec.eigenvalues
-    is_int = float(p) == int(p)
-    if np.any(evals <= 0.0) and not (is_int and p >= 0):
-        bad = float(evals[evals <= 0.0][0])
-        raise DomainError(
-            f"power {p} undefined: non-positive eigenvalue {bad:.6e}"
-        )
-    powered = np.power(evals, p)
-    if isinstance(x, SymPDMatrix):
-        return SymPDMatrix.from_spectrum(powered, dec.basis)
-    return dec.apply(powered)
+def mat_fpow(x: SymPDMatrix, p: float) -> SymPDMatrix:
+    """Real power X^p from the cached decomposition, without re-solving."""
+    return SymPDMatrix.from_spectrum(np.power(x.eigenvalues, p), x.eigenvectors)
 
 
 def congruence(x, c) -> np.ndarray:
-    """The congruence C^T X C, explicitly symmetrized."""
-    xm = x.mat if isinstance(x, SymPDMatrix) else np.asarray(x, dtype=float)
+    """The congruence C^T X C of two arrays, explicitly symmetrized."""
+    xm = np.asarray(x, dtype=float)
     cm = np.asarray(c, dtype=float)
     if xm.ndim != 2 or cm.ndim != 2 or xm.shape[1] != cm.shape[0]:
-        raise InputError(
-            f"congruence shape mismatch: {xm.shape} vs {cm.shape}"
-        )
+        raise InputError(f"congruence shape mismatch: {xm.shape} vs {cm.shape}")
     r = cm.T @ xm @ cm
     return 0.5 * (r + r.T)
+
+
+def check_same_dim(a: SymPDMatrix, b: SymPDMatrix):
+    if a.dim != b.dim:
+        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 @dataclass(frozen=True)

@@ -10,39 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigen import SymPDMatrix, congruence, eig_sym, mat_fpow
-from .errors import DomainError, InputError
-
-
-def _check_dims(a: SymPDMatrix, b: SymPDMatrix):
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
+from .eigen import SymPDMatrix, check_same_dim, congruence, eig_sym, mat_fpow
+from .errors import DomainError
+from .sandwich import relative_spectrum
 
 
 def op_nabla(a: SymPDMatrix, b: SymPDMatrix, v: float) -> np.ndarray:
     """Weighted arithmetic mean (1-v)A + vB; may be indefinite for v outside [0,1]."""
-    _check_dims(a, b)
+    check_same_dim(a, b)
     return (1.0 - v) * a.mat + v * b.mat
 
 
 def op_sharp(a: SymPDMatrix, b: SymPDMatrix, v: float) -> SymPDMatrix:
     """Weighted geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^v A^(1/2)."""
-    _check_dims(a, b)
-    half = mat_fpow(a, 0.5)
-    inv_half = mat_fpow(a, -0.5)
-    inner = congruence(b, inv_half.mat)
-    dec = eig_sym(inner)
-    if dec.eigenvalues[0] <= 0.0:
-        raise DomainError(
-            f"congruence lost positivity: eigenvalue {dec.eigenvalues[0]:.6e}"
-        )
+    dec = relative_spectrum(a, b)
     powered = dec.apply(np.power(dec.eigenvalues, v))
-    return SymPDMatrix(congruence(powered, half.mat))
+    return SymPDMatrix(congruence(powered, mat_fpow(a, 0.5).mat))
 
 
 def op_harm(a: SymPDMatrix, b: SymPDMatrix, v: float) -> SymPDMatrix:
     """Weighted harmonic mean ((1-v)A^(-1) + vB^(-1))^(-1) for v in [0,1]."""
-    _check_dims(a, b)
+    check_same_dim(a, b)
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"harmonic mean needs weight in [0, 1], got {v}")
     combined = (1.0 - v) * mat_fpow(a, -1.0).mat + v * mat_fpow(b, -1.0).mat

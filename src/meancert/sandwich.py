@@ -5,7 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigen import SymPDMatrix, congruence, eig_sym, mat_fpow
+from .eigen import (
+    SpectralDecomposition,
+    SymPDMatrix,
+    check_same_dim,
+    congruence,
+    eig_sym,
+    mat_fpow,
+)
 from .errors import DomainError, InputError
 
 BELOW = "below"
@@ -96,17 +103,19 @@ class UniformBox:
         return self.M - self.m <= REGIME_TIE_TOL * self.M
 
 
+def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix) -> SpectralDecomposition:
+    """Eigendecomposition of A^(-1/2) B A^(-1/2): its ends bound B by A, its powers give A#_vB."""
+    check_same_dim(a, b)
+    dec = eig_sym(congruence(b.mat, mat_fpow(a, -0.5).mat))
+    if dec.eigenvalues[0] <= 0.0:
+        raise DomainError(f"congruence lost positivity: eigenvalue {dec.eigenvalues[0]:.6e}")
+    return dec
+
+
 def sandwich_of(a: SymPDMatrix, b: SymPDMatrix) -> SandwichInterval:
-    """Tight sandwich scalars: extreme eigenvalues of A^(-1/2) B A^(-1/2)."""
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    inv_half = mat_fpow(a, -0.5)
-    dec = eig_sym(congruence(b, inv_half.mat))
-    s = float(dec.eigenvalues[0])
-    t = float(dec.eigenvalues[-1])
-    if s <= 0.0:
-        raise DomainError(f"congruence lost positivity: eigenvalue {s:.6e}")
-    return SandwichInterval.from_bounds(s, t, tight=True)
+    """Tight sandwich scalars: the ends of the relative spectrum of (A, B)."""
+    lam = relative_spectrum(a, b).eigenvalues
+    return SandwichInterval.from_bounds(float(lam[0]), float(lam[-1]), tight=True)
 
 
 def sandwich_from_box(box: SpectralBox, order: str) -> SandwichInterval:

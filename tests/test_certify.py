@@ -9,6 +9,7 @@ from meancert.certify import (
     CertReport,
     catalog,
     compare_constants,
+    comparison_of,
     gen_box_instance,
     gen_instance,
     verify,
@@ -272,6 +273,27 @@ class TestCompareConstants:
             compare_constants(0.5, 0.5)
         with pytest.raises(DomainError):
             compare_constants(2.0, 1.5)
+
+
+class TestComparisonOf:
+    @pytest.mark.parametrize("s,t,v,h", [
+        (2.0, 5.0, 0.5, 2.0),  # above: h = s
+        (0.2, 0.5, 0.3, 2.0),  # below: h = 1/t
+        (1.0, 1.0, 0.0, 1.0),
+        (1.0, 3.0, 1.0, 1.0),
+    ])
+    def test_row_at_the_literature_ratio(self, s, t, v, h):
+        assert comparison_of(SandwichInterval.from_bounds(s, t), v) == compare_constants(h, v)
+
+    @pytest.mark.parametrize("s,t,v", [
+        (0.5, 2.0, 0.5),  # straddle
+        (2.0, 5.0, 1.5),  # weight outside [0, 1]
+        (0.5, 2.0, -0.5),
+        (1.0 - 5e-13, 2.0, 0.5),  # above by the tie tolerance: h < 1
+        (0.5, 1.0 + 5e-13, 0.5),  # below by the tie tolerance: h < 1
+    ])
+    def test_none_without_a_ratio_at_least_one(self, s, t, v):
+        assert comparison_of(SandwichInterval.from_bounds(s, t), v) is None
 
 
 class TestGenerators:

@@ -257,6 +257,16 @@ class TestCompare:
         assert len(lines) == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["random", "--regime", "above", "--count", "0", "--out", "summary.txt"],
+    ["compare", "--h-range", "2", "4", "3", "--v-range", "0", "1", "3", "--tol", "1e-6"],
+], ids=["random --out", "compare --tol"])
+def test_option_the_command_does_not_read_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 class TestOutputFile:
     def test_out_writes_file(self, mats, tmp_path):
         a, b = mats

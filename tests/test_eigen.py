@@ -197,13 +197,18 @@ class TestMatFpow:
             rhs = mat_fpow(m, p + q).mat
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
-    def test_integer_power_of_indefinite_array(self):
-        x = np.diag([2.0, -3.0])
-        np.testing.assert_allclose(mat_fpow(x, 2.0), np.diag([4.0, 9.0]), atol=1e-12)
+    def test_reuses_cached_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        m = random_pd(rng, 4)
 
-    def test_fractional_power_of_indefinite_names_eigenvalue(self):
-        with pytest.raises(DomainError, match="-3"):
-            mat_fpow(np.diag([2.0, -3.0]), 0.5)
+        def no_solve(x):
+            raise AssertionError("mat_fpow re-solved the eigenproblem")
+
+        monkeypatch.setattr(eigen, "eig_sym", no_solve)
+        r = mat_fpow(m, 1.5)
+        assert isinstance(r, SymPDMatrix)
+        np.testing.assert_array_equal(r.eigenvalues, np.power(m.eigenvalues, 1.5))
+        np.testing.assert_array_equal(r.eigenvectors, m.eigenvectors)
 
 
 class TestCongruence:

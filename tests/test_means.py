@@ -5,8 +5,19 @@ from meancert import scalars as sc
 from meancert.eigen import SymPDMatrix, loewner_geq_zero, mat_fpow
 from meancert.errors import DomainError, InputError
 from meancert.means import op_harm, op_nabla, op_sharp
+from meancert.sandwich import sandwich_of
 
 from test_eigen import random_pd
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: sandwich_of(a, b),
+    lambda a, b: op_sharp(a, b, 0.5),
+    lambda a, b: op_harm(a, b, 0.5),
+], ids=["sandwich_of", "op_sharp", "op_harm"])
+def test_dim_mismatch_is_input_error(call):
+    with pytest.raises(InputError, match=r"^dimension mismatch: 2 vs 3$"):
+        call(SymPDMatrix(np.eye(2)), SymPDMatrix(np.eye(3)))
 
 
 class TestOpNabla:

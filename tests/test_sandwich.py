@@ -13,6 +13,7 @@ from meancert.sandwich import (
     SandwichInterval,
     SpectralBox,
     classify_regime,
+    relative_spectrum,
     sandwich_from_box,
     sandwich_of,
     uniform_box_of,
@@ -80,6 +81,19 @@ class TestSandwichOf:
             assert loewner_geq_zero(sw.t * a.mat - b.mat, 1e-9).holds
             assert not loewner_geq_zero(b.mat - sw.s * (1 + 1e-6) * a.mat, 1e-9).holds
             assert not loewner_geq_zero(sw.t * (1 - 1e-6) * a.mat - b.mat, 1e-9).holds
+
+    def test_ends_of_relative_spectrum(self):
+        rng = np.random.default_rng(3)
+        a, b = random_pd(rng, 5), random_pd(rng, 5)
+        lam = relative_spectrum(a, b).eigenvalues
+        sw = sandwich_of(a, b)
+        assert (sw.s, sw.t) == (lam[0], lam[-1])
+
+    def test_relative_spectrum_of_diagonal_pair(self):
+        dec = relative_spectrum(SymPDMatrix(np.diag([2.0, 4.0, 1.0])),
+                                SymPDMatrix(np.diag([1.0, 6.0, 3.0])))
+        np.testing.assert_allclose(dec.eigenvalues, [0.5, 1.5, 3.0], rtol=1e-13)
+        np.testing.assert_allclose(np.abs(dec.basis), np.eye(3), atol=1e-13)
 
     def test_roundtrip_with_generator(self):
         for seed, (s0, t0) in enumerate([(0.5, 2.0), (0.2, 0.9), (1.5, 6.0)]):
