@@ -116,11 +116,10 @@ def _in_unit(v: float) -> bool:
 class _Point:
     """What the gates and constants read for one sandwich, weight and boxes.
 
-    The regime is decided once: on a one-sided regime ``near`` is the
-    endpoint nearer 1 (s above, t below) and ``far`` the other one.  The
-    spectral box likewise gives ``box_near``/``box_far`` and the scales of
-    the identity-referenced bounds, chosen by the box order rather than by
-    the regime its sandwich falls in.
+    ``near``/``far`` are the sandwich's endpoints nearer to and farther from
+    1, and ``box_near``/``box_far`` those of the spectral box's sandwich.
+    Only the scales of the identity-referenced box bounds depend on the box
+    order itself.
     """
 
     def __init__(self, sw, v, uniform_box, spectral_box, box_order):
@@ -128,17 +127,14 @@ class _Point:
         self.in_unit = _in_unit(v)
         self.straddle = sw.regime == STRADDLE
         self.above = sw.regime == ABOVE
-        self.near, self.far = (sw.s, sw.t) if self.above else (sw.t, sw.s)
+        self.near, self.far = sw.near_far
         self.uniform_box = uniform_box
         self.box_near = None  # stays None unless the spectral-box bounds apply
-        if not self.in_unit and spectral_box is not None and box_order is not None:
-            bsw, bx = sandwich_from_box(spectral_box, box_order), spectral_box
-            if box_order == A_BELOW_B:
-                self.box_near, self.box_far = bsw.s, bsw.t
-                self.box_lo_ref, self.box_hi_ref = bx.m_outer, bx.m_inner
-            else:
-                self.box_near, self.box_far = bsw.t, bsw.s
-                self.box_lo_ref, self.box_hi_ref = bx.M_inner, bx.M_outer
+        if not self.in_unit and spectral_box is not None:
+            bx = spectral_box
+            self.box_near, self.box_far = sandwich_from_box(bx, box_order).near_far
+            self.box_lo_ref, self.box_hi_ref = (
+                (bx.m_outer, bx.m_inner) if box_order == A_BELOW_B else (bx.M_inner, bx.M_outer))
 
     def f(self, x: float) -> float:
         return scalars.f_v(x, self.v)
@@ -281,8 +277,6 @@ def _residual(bound: BoundStatement, nabla, sharp, harm, amat, eye):
     c = bound.constant
     if bound.form == MULTIPLICATIVE:
         lhs = harm if bound.relation == HARM_VS_SHARP else nabla
-        if lhs is None:
-            raise DomainError(f"bound {bound.name}: harmonic mean unavailable")
         res = lhs - c * sharp if bound.side == LOWER else c * sharp - lhs
         scale = float(np.linalg.norm(lhs))
     else:
@@ -312,7 +306,8 @@ def verify(
     """
     nabla = op_nabla(a, b, v)
     sharp = op_sharp(a, b, v).mat
-    harm = op_harm(a, b, v).mat if _in_unit(v) else None
+    harm = (op_harm(a, b, v).mat
+            if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
     eye = np.eye(a.dim)
     results = []
     findings = []
@@ -347,6 +342,7 @@ def verify(
 
 def compare_constants(h: float, v: float) -> dict:
     """One comparison row of the competing refinement constants at (h, v)."""
+    h, v = float(h), float(v)
     if not h >= 1.0:
         raise DomainError(f"comparison needs h >= 1, got {h}")
     if not _in_unit(v):

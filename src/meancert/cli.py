@@ -100,13 +100,16 @@ def report_csv_row(report: CertReport) -> list[str]:
     return row
 
 
-def reports_to_csv(reports: list[CertReport]) -> str:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(csv_header())
-    for report in reports:
-        writer.writerow(report_csv_row(report))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def reports_to_csv(reports: list[CertReport]) -> str:
+    return _csv(csv_header(), map(report_csv_row, reports))
 
 
 def _write_out(text: str, out: str | None):
@@ -142,11 +145,6 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
 def cmd_check(args) -> int:
     a = load_matrix(args.matrix_a)
     b = load_matrix(args.matrix_b)
-    if a.dim != b.dim:
-        raise InputError(
-            f"{args.matrix_a} and {args.matrix_b} have mismatched dimensions "
-            f"({a.dim} vs {b.dim})"
-        )
     report = certify_pair(a, b, args.v, args.tol)
     if args.format == "csv":
         _write_out(reports_to_csv([report]), args.out)
@@ -168,8 +166,6 @@ def _v_grid(v_range) -> list[float]:
 def cmd_sweep(args) -> int:
     a = load_matrix(args.matrix_a)
     b = load_matrix(args.matrix_b)
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch ({a.dim} vs {b.dim})")
     reports = [certify_pair(a, b, v, args.tol) for v in _v_grid(args.v_range)]
     _write_out(reports_to_csv(reports), args.out)
     if all(r.overall_pass for r in reports):
@@ -238,15 +234,10 @@ def cmd_compare(args) -> int:
         "dragomir_gt_zuo_count": sum(r["dragomir_vs_zuo"] == "gt" for r in rows),
     }
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         cols = ["h", "v", "f_v", "zuo", "specht", "dragomir",
                 "specht_le_zuo", "zuo_le_f", "dragomir_vs_zuo"]
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow([_fmt(r[c]) if isinstance(r[c], float) else r[c]
-                             for c in cols])
-        _write_out(buf.getvalue(), args.out)
+        cells = ([_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows)
+        _write_out(_csv(cols, cells), args.out)
         print(json.dumps(summary))
     else:
         _write_out(json.dumps({"rows": rows, "summary": summary}, indent=2), args.out)

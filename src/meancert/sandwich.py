@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .eigen import (
     SpectralDecomposition,
@@ -42,24 +42,24 @@ def classify_regime(s: float, t: float) -> str:
 
 @dataclass(frozen=True)
 class SandwichInterval:
-    """Scalars 0 < s <= t with sA <= B <= tA, plus the regime they select."""
+    """Scalars 0 < s <= t with sA <= B <= tA; the regime follows from them."""
 
     s: float
     t: float
-    regime: str
-    tight: bool = True
+    tight: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.t) and 0.0 < self.s <= self.t):
             raise DomainError(f"invalid sandwich scalars s={self.s}, t={self.t}")
-        if self.regime != classify_regime(self.s, self.t):
-            raise DomainError(
-                f"regime '{self.regime}' inconsistent with s={self.s}, t={self.t}"
-            )
 
-    @classmethod
-    def from_bounds(cls, s: float, t: float, tight: bool = True) -> "SandwichInterval":
-        return cls(s, t, classify_regime(s, t), tight)
+    @property
+    def regime(self) -> str:
+        return classify_regime(self.s, self.t)
+
+    @property
+    def near_far(self) -> tuple[float, float]:
+        """On a one-sided regime, the endpoint nearer 1 and the other one."""
+        return (self.s, self.t) if self.regime == ABOVE else (self.t, self.s)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix) -> SpectralDecomposition:
 def sandwich_of(a: SymPDMatrix, b: SymPDMatrix) -> SandwichInterval:
     """Tight sandwich scalars: the ends of the relative spectrum of (A, B)."""
     lam = relative_spectrum(a, b).eigenvalues
-    return SandwichInterval.from_bounds(float(lam[0]), float(lam[-1]), tight=True)
+    return SandwichInterval(float(lam[0]), float(lam[-1]))
 
 
 def sandwich_from_box(box: SpectralBox, order: str) -> SandwichInterval:
@@ -130,7 +130,7 @@ def sandwich_from_box(box: SpectralBox, order: str) -> SandwichInterval:
         s, t = box.m_outer / box.M_outer, box.m_inner / box.M_inner
     else:
         raise InputError(f"unknown box order '{order}'")
-    return SandwichInterval.from_bounds(s, t, tight=False)
+    return SandwichInterval(s, t, tight=False)
 
 
 def uniform_box_of(a: SymPDMatrix, b: SymPDMatrix) -> UniformBox:

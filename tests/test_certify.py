@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from meancert import certify
 from meancert import scalars as sc
 from meancert.certify import (
     CATALOG_ORDER,
+    HARM_VS_SHARP,
     CertReport,
     catalog,
     compare_constants,
@@ -68,12 +71,12 @@ def expected_reasons(regime, in_unit, has_ubox, has_sbox):
 
 class TestCatalog:
     def test_stable_order(self):
-        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        sw = SandwichInterval(0.5, 2.0)
         bounds = catalog(sw, 0.5)
         assert [b.name for b in bounds] == list(CATALOG_ORDER)
 
     def test_above_regime_constants(self):
-        sw = SandwichInterval.from_bounds(4.0, 4.0)
+        sw = SandwichInterval(4.0, 4.0)
         bounds = by_name(catalog(sw, 0.5))
         assert bounds["thm1.lower"].constant == pytest.approx(1.25)
         assert bounds["zuo"].constant == pytest.approx(1.25)
@@ -81,7 +84,7 @@ class TestCatalog:
         assert not bounds["straddle.mult.upper"].applicable
 
     def test_straddle_additive_upper(self):
-        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        sw = SandwichInterval(0.5, 2.0)
         bounds = by_name(catalog(sw, 0.5))
         assert bounds["thm3.upper"].constant == pytest.approx(
             max(sc.g_v(0.5, 0.5), sc.g_v(2.0, 0.5)))
@@ -90,32 +93,32 @@ class TestCatalog:
         assert not bounds["zuo"].applicable
 
     def test_extended_weight_gating(self):
-        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        sw = SandwichInterval(0.5, 2.0)
         bounds = by_name(catalog(sw, 2.0))
         assert not bounds["young.classical"].applicable
         assert bounds["ext.lower"].applicable
         assert bounds["ext.upper"].constant == 0.0  # straddle peak of the gap at 1
 
     def test_extended_upper_one_sided(self):
-        bounds = by_name(catalog(SandwichInterval.from_bounds(1.5, 3.0), 2.0))
+        bounds = by_name(catalog(SandwichInterval(1.5, 3.0), 2.0))
         assert bounds["ext.upper"].constant == pytest.approx(sc.g_v(1.5, 2.0))
-        bounds = by_name(catalog(SandwichInterval.from_bounds(0.2, 0.8), 2.0))
+        bounds = by_name(catalog(SandwichInterval(0.2, 0.8), 2.0))
         assert bounds["ext.upper"].constant == pytest.approx(sc.g_v(0.8, 2.0))
 
     def test_literature_flagging(self):
-        sw = SandwichInterval.from_bounds(2.0, 3.0)
+        sw = SandwichInterval(2.0, 3.0)
         bounds = by_name(catalog(sw, 0.3, uniform_box=UniformBox(1.0, 4.0)))
         for name in ("zuo", "specht", "dragomir", "tominaga.upper"):
             assert bounds[name].literature
         assert not bounds["thm1.lower"].literature
 
     def test_below_uses_inverse_t_for_literature(self):
-        sw = SandwichInterval.from_bounds(0.2, 0.5)
+        sw = SandwichInterval(0.2, 0.5)
         bounds = by_name(catalog(sw, 0.3))
         assert bounds["zuo"].constant == pytest.approx(sc.zuo_constant(2.0, 0.3))
 
     def test_box_bounds_need_box(self):
-        sw = SandwichInterval.from_bounds(1.5, 6.0)
+        sw = SandwichInterval(1.5, 6.0)
         bounds = by_name(catalog(sw, 1.5))
         assert not bounds["ext.box.lower"].applicable
         bounds = by_name(catalog(sw, 1.5, spectral_box=SpectralBox(1, 2, 3, 6),
@@ -127,7 +130,7 @@ class TestCatalog:
     @pytest.mark.parametrize("v", [-0.5, 0.3, 1.5])
     @pytest.mark.parametrize("s, t", REGIME_SANDWICHES)
     def test_applicability_reasons(self, s, t, v, box):
-        sw = SandwichInterval.from_bounds(s, t)
+        sw = SandwichInterval(s, t)
         kwargs = {"uniform": {"uniform_box": UniformBox(0.5, 4.0)},
                   "none": {}}.get(box, {"spectral_box": BOX, "box_order": box})
         reasons = expected_reasons(sw.regime, 0.0 <= v <= 1.0, box == "uniform",
@@ -144,14 +147,14 @@ class TestCatalog:
                  ((1.5, 6.0), dual(6.0), dual(1.5)),
                  ((0.2, 0.8), dual(0.2), dual(0.8))]
         for (s, t), lo, hi in cases:
-            bounds = by_name(catalog(SandwichInterval.from_bounds(s, t), v))
+            bounds = by_name(catalog(SandwichInterval(s, t), v))
             assert bounds["harm.lower"].constant == pytest.approx(lo, rel=1e-15)
             assert bounds["harm.upper"].constant == pytest.approx(hi, rel=1e-15)
 
     @pytest.mark.parametrize("v", [-1.0, -0.5, 1.5, 3.0])
     @pytest.mark.parametrize("s, t", REGIME_SANDWICHES)
     def test_ext_upper_per_regime(self, s, t, v):
-        sw = SandwichInterval.from_bounds(s, t)
+        sw = SandwichInterval(s, t)
         expected = {ABOVE: sc.g_v(s, v), BELOW: sc.g_v(t, v), STRADDLE: 0.0}[sw.regime]
         bounds = by_name(catalog(sw, v))
         assert bounds["ext.upper"].constant == pytest.approx(expected, rel=1e-15)
@@ -161,7 +164,7 @@ class TestCatalog:
     @pytest.mark.parametrize("v", [-1.0, -0.5, 1.5, 3.0])
     def test_box_constants(self, v):
         m_out, m_in, M_in, M_out = BOX.m_outer, BOX.m_inner, BOX.M_inner, BOX.M_outer
-        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        sw = SandwichInterval(0.5, 2.0)
         expected = {
             A_BELOW_B: (-sc.g_v(M_in / m_in, v), -sc.g_v(M_out / m_out, v),
                         -m_out * sc.g_v(M_in / m_in, v), -m_in * sc.g_v(M_out / m_out, v)),
@@ -175,7 +178,7 @@ class TestCatalog:
             assert got == pytest.approx(list(consts), rel=1e-14)
 
     def test_unknown_box_order(self):
-        sw = SandwichInterval.from_bounds(0.5, 2.0)
+        sw = SandwichInterval(0.5, 2.0)
         with pytest.raises(InputError, match="unknown box order 'sideways'"):
             catalog(sw, 1.5, spectral_box=BOX, box_order="sideways")
         # the order is only read where the box bounds apply
@@ -183,10 +186,14 @@ class TestCatalog:
             "ext.box.lower"].applicable
         assert not by_name(catalog(sw, 1.5, box_order="sideways"))["ext.box.lower"].applicable
 
+    def test_spectral_box_without_order_is_an_error(self):
+        with pytest.raises(InputError, match="unknown box order 'None'"):
+            catalog(SandwichInterval(0.5, 2.0), 1.5, spectral_box=BOX)
+
     def test_lower_multiplicative_constants_at_least_one(self):
         for s, t in [(0.2, 0.8), (1.5, 6.0), (0.5, 2.0)]:
             for v in (0.1, 0.5, 0.9):
-                for b in catalog(SandwichInterval.from_bounds(s, t), v):
+                for b in catalog(SandwichInterval(s, t), v):
                     if (b.applicable and b.form == "multiplicative"
                             and b.side == "lower"
                             and b.relation == "nabla_vs_sharp"):
@@ -253,6 +260,50 @@ class TestVerify:
         assert CertReport.from_dict(d) == report
 
 
+class TestHarmonicMeanBuild:
+    """verify builds A!_vB exactly when an applicable bound compares it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = certify.op_harm
+
+        def counting(a, b, v):
+            calls.append(v)
+            return real(a, b, v)
+
+        monkeypatch.setattr(certify, "op_harm", counting)
+        return calls
+
+    def test_full_catalog_in_unit_builds_it_once(self, calls):
+        a, b = gen_instance(3, 0.4, 2.5, 1)
+        assert verify(a, b, 0.5, catalog(sandwich_of(a, b), 0.5)).overall_pass
+        assert calls == [0.5]
+
+    def test_extended_weight_does_not_build_it(self, calls):
+        a, b = gen_instance(3, 0.4, 2.5, 1)
+        verify(a, b, 1.5, catalog(sandwich_of(a, b), 1.5))
+        assert calls == []
+
+    def test_not_built_when_no_harmonic_bound_applies(self, calls):
+        a, b = gen_instance(3, 0.4, 2.5, 1)
+        bounds = [replace(x, applicable=False, constant=None)
+                  if x.relation == HARM_VS_SHARP else x
+                  for x in catalog(sandwich_of(a, b), 0.5)]
+        report = verify(a, b, 0.5, bounds)
+        assert calls == []
+        assert all(r.verdict is None for r in report.results
+                   if r.statement.name.startswith("harm."))
+
+    def test_applicable_harmonic_bound_at_extended_weight_is_domain_error(self, calls):
+        a, b = gen_instance(3, 0.4, 2.5, 1)
+        # applicable at v = 0.5, so applicable where its gate would say no
+        harm_lower = by_name(catalog(sandwich_of(a, b), 0.5))["harm.lower"]
+        with pytest.raises(DomainError, match="harmonic mean needs weight in"):
+            verify(a, b, 1.5, [harm_lower])
+        assert calls == [1.5]
+
+
 class TestCompareConstants:
     def test_reference_point(self):
         row = compare_constants(4.0, 0.5)
@@ -267,6 +318,12 @@ class TestCompareConstants:
         assert (row["f_v"], row["zuo"], row["specht"], row["dragomir"]) == (1, 1, 1, 1)
         row = compare_constants(3.0, 0.0)
         assert (row["f_v"], row["zuo"], row["specht"], row["dragomir"]) == (1, 1, 1, 1)
+
+    def test_numpy_scalars_give_plain_floats_and_bools(self):
+        row = compare_constants(np.float64(2.0), np.float64(0.5))
+        assert row == compare_constants(2.0, 0.5)
+        assert [type(row[k]) for k in ("h", "v", "specht_le_zuo", "zuo_le_f")] == [
+            float, float, bool, bool]
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -283,7 +340,7 @@ class TestComparisonOf:
         (1.0, 3.0, 1.0, 1.0),
     ])
     def test_row_at_the_literature_ratio(self, s, t, v, h):
-        assert comparison_of(SandwichInterval.from_bounds(s, t), v) == compare_constants(h, v)
+        assert comparison_of(SandwichInterval(s, t), v) == compare_constants(h, v)
 
     @pytest.mark.parametrize("s,t,v", [
         (0.5, 2.0, 0.5),  # straddle
@@ -293,7 +350,7 @@ class TestComparisonOf:
         (0.5, 1.0 + 5e-13, 0.5),  # below by the tie tolerance: h < 1
     ])
     def test_none_without_a_ratio_at_least_one(self, s, t, v):
-        assert comparison_of(SandwichInterval.from_bounds(s, t), v) is None
+        assert comparison_of(SandwichInterval(s, t), v) is None
 
 
 class TestGenerators:

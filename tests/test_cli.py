@@ -243,6 +243,13 @@ class TestCompare:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert (row["f_v"], row["zuo"], row["specht"], row["dragomir"]) == (1, 1, 1, 1)
 
+    def test_json_grid(self, capsys):
+        assert main(["compare", "--h-range", "2", "4", "3",
+                     "--v-range", "0", "1", "3"]) == EXIT_PASS
+        obj = json.loads(capsys.readouterr().out)
+        assert len(obj["rows"]) == 9
+        assert obj["summary"]["zuo_le_f_violations"] == 0
+
     def test_invalid_grid_exit_2(self):
         assert main(["compare", "--h-range", "0.5", "4", "10",
                      "--v-range", "0.5", "0.5", "1"]) == EXIT_INPUT
@@ -255,6 +262,18 @@ class TestCompare:
         assert lines[0] == ("h,v,f_v,zuo,specht,dragomir,"
                             "specht_le_zuo,zuo_le_f,dragomir_vs_zuo")
         assert len(lines) == 10
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--v", "0.5"],
+    ["sweep", "--v-range", "0", "1", "3"],
+])
+def test_dimension_mismatch_exit_2(tmp_path, capsys, command):
+    a = write_matrix(tmp_path / "a.json", np.eye(2))
+    b = write_matrix(tmp_path / "b.json", 2 * np.eye(3))
+    assert main(command[:1] + ["--matrix-a", a, "--matrix-b", b] + command[1:]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: dimension mismatch: 2 vs 3\n")
 
 
 @pytest.mark.parametrize("argv", [

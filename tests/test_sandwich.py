@@ -37,15 +37,29 @@ class TestClassification:
     def test_equal_pair_reports_above(self):
         assert classify_regime(1.0, 1.0) == ABOVE
 
+    @pytest.mark.parametrize("s,t,regime,near_far", [
+        (0.2, 0.8, BELOW, (0.8, 0.2)),
+        (0.5, 1.0 + 5e-13, BELOW, (1.0 + 5e-13, 0.5)),
+        (1.5, 3.0, ABOVE, (1.5, 3.0)),
+        (1.0 - 5e-13, 2.0, ABOVE, (1.0 - 5e-13, 2.0)),
+        (1.0, 1.0, ABOVE, (1.0, 1.0)),
+        (0.5, 2.0, STRADDLE, (2.0, 0.5)),
+    ])
+    def test_regime_and_near_far_follow_from_scalars(self, s, t, regime, near_far):
+        sw = SandwichInterval(s, t)
+        assert (sw.regime, sw.near_far) == (regime, near_far)
+
+    def test_tight_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            SandwichInterval(0.5, 2.0, False)
+        assert SandwichInterval(0.5, 2.0).tight
+        assert not SandwichInterval(0.5, 2.0, tight=False).tight
+
     def test_invalid_scalars(self):
         with pytest.raises(DomainError):
-            SandwichInterval.from_bounds(2.0, 1.0)
+            SandwichInterval(2.0, 1.0)
         with pytest.raises(DomainError):
-            SandwichInterval.from_bounds(-1.0, 1.0)
-
-    def test_inconsistent_regime_rejected(self):
-        with pytest.raises(DomainError):
-            SandwichInterval(0.5, 2.0, BELOW)
+            SandwichInterval(-1.0, 1.0)
 
 
 class TestSandwichOf:
