@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -123,6 +124,10 @@ def _write_out(text: str, out: str | None):
 
 def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertReport:
     """Full pipeline for one (A, B, v): sandwich, boxes, catalog, verify."""
+    if not math.isfinite(v):
+        raise InputError(f"weight v must be finite, got {v}")
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tolerance must be finite and >= 0, got {tol}")
     sw = sandwich_of(a, b)
     ubox = uniform_box_of(a, b)
     bounds = catalog(sw, v, uniform_box=ubox)
@@ -153,20 +158,24 @@ def cmd_check(args) -> int:
     return EXIT_PASS if report.overall_pass else EXIT_BOUND_FAILED
 
 
-def _v_grid(v_range) -> list[float]:
-    start, end, steps = v_range
-    steps = int(steps)
-    if steps < 1 or start > end:
-        raise InputError(f"invalid v range ({start}, {end}, {steps})")
-    if steps == 1:
-        return [start]
-    return list(np.linspace(start, end, steps))
+def _grid(name: str, bounds, space=np.linspace, least=-math.inf) -> list[float]:
+    """START alone, or STEPS points from START to END placed by ``space``.
+
+    The ends must be finite with least <= START <= END, and STEPS whole and >= 1.
+    """
+    start, end, steps = bounds
+    if float(steps).is_integer():
+        steps = int(steps)
+    if not (isinstance(steps, int) and steps >= 1
+            and math.isfinite(start) and least <= start <= end < math.inf):
+        raise InputError(f"invalid {name} range ({start}, {end}, {steps})")
+    return [start] if steps == 1 else list(space(start, end, steps))
 
 
 def cmd_sweep(args) -> int:
     a = load_matrix(args.matrix_a)
     b = load_matrix(args.matrix_b)
-    reports = [certify_pair(a, b, v, args.tol) for v in _v_grid(args.v_range)]
+    reports = [certify_pair(a, b, v, args.tol) for v in _grid("v", args.v_range)]
     _write_out(reports_to_csv(reports), args.out)
     if all(r.overall_pass for r in reports):
         return EXIT_PASS
@@ -219,13 +228,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    h_start, h_end, h_points = args.h_range
-    h_points = int(h_points)
-    if not (1.0 <= h_start <= h_end) or h_points < 1:
-        raise InputError(f"invalid h range ({h_start}, {h_end}, {h_points})")
-    hs = ([h_start] if h_points == 1
-          else list(np.logspace(np.log10(h_start), np.log10(h_end), h_points)))
-    vs = _v_grid(args.v_range)
+    hs = _grid("h", args.h_range, least=1.0,
+               space=lambda lo, hi, n: np.logspace(np.log10(lo), np.log10(hi), n))
+    vs = _grid("v", args.v_range)
     rows = [compare_constants(h, v) for h in hs for v in vs]
     summary = {
         "specht_le_zuo_violations": sum(not r["specht_le_zuo"] for r in rows),
@@ -302,7 +307,7 @@ def main(argv=None) -> int:
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -259,6 +259,52 @@ class TestVerify:
         d = report.to_dict()
         assert CertReport.from_dict(d) == report
 
+    @pytest.mark.parametrize("s0,t0,v,applicable", [
+        (1.2, 5.0, 0.3, 13), (0.4, 2.5, 0.3, 7), (0.4, 2.5, 1.5, 2)])
+    def test_normalized_margin_is_min_eig_over_residual_norm(self, s0, t0, v, applicable):
+        a, b = gen_instance(4, s0, t0, 3)
+        a, b = SymPDMatrix(30.0 * a.mat), SymPDMatrix(30.0 * b.mat)
+        report = verify(a, b, v, catalog(sandwich_of(a, b), v, uniform_box=uniform_box_of(a, b)))
+        # the residuals rebuilt with LAPACK, apart from the program's means
+        lam, q = np.linalg.eigh(a.mat)
+        half, inv_half = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
+        w, u = np.linalg.eigh(inv_half @ b.mat @ inv_half)
+        nabla = (1 - v) * a.mat + v * b.mat
+        sharp = half @ (u * w**v) @ u.T @ half
+        harm = half @ (u / ((1 - v) + v / w)) @ u.T @ half
+        checked = 0
+        for r in report.results:
+            if r.verdict is None:
+                continue
+            st, c = r.statement, r.statement.constant
+            if st.form == "multiplicative":
+                lhs = harm if st.relation == HARM_VS_SHARP else nabla
+                res = lhs - c * sharp if st.side == "lower" else c * sharp - lhs
+            else:
+                gap = nabla - sharp if st.relation == "nabla_vs_sharp" else sharp - nabla
+                res = gap - c * a.mat if st.side == "lower" else c * a.mat - gap
+            expected = r.verdict.min_eig / max(1.0, np.linalg.norm(res))
+            assert r.verdict.min_eig_normalized == pytest.approx(expected, rel=1e-9, abs=0)
+            checked += 1
+        assert checked == applicable
+
+    def test_pass_and_findings_are_read_from_the_verdicts(self):
+        a, b = gen_instance(5, 1.05, 50.0, 7)
+        d = verify(a, b, 0.5, catalog(sandwich_of(a, b), 0.5)).to_dict()
+        assert d["overall_pass"] and d["findings"]
+        d["findings"], d["overall_pass"] = [], False  # stale copies are not read back
+        for r in d["bounds"]:
+            if r["statement"]["name"] == "thm1.lower":
+                r["verdict"]["holds"] = False
+        report = CertReport.from_dict(d)
+        assert not report.overall_pass
+        assert report.findings == tuple(
+            f"literature bound {r.statement.name} violated: "
+            f"min residual eigenvalue {r.verdict.min_eig:.6e}"
+            for r in report.results
+            if r.statement.literature and r.verdict and not r.verdict.holds)
+        assert report.findings
+
 
 class TestHarmonicMeanBuild:
     """verify builds A!_vB exactly when an applicable bound compares it."""

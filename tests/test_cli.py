@@ -302,3 +302,86 @@ class TestOutputFile:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == GOLDEN_CSV_HEADER
         assert len(lines) == 2
+
+
+A_2x2 = [[2.0, 1.0], [1.0, 3.0]]
+B_2x2 = [[4.0, 1.0], [1.0, 2.0]]
+PAIR = ["--matrix-a", "A", "--matrix-b", "B"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["sweep", *PAIR, "--v-range", "0", "1", "nan"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, nan)"),
+    (["sweep", *PAIR, "--v-range", "0", "1", "inf"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, inf)"),
+    (["sweep", *PAIR, "--v-range", "0", "1", "2.7"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, 2.7)"),
+    (["sweep", *PAIR, "--v-range", "nan", "1", "3"], EXIT_INPUT,
+     "error: invalid v range (nan, 1.0, 3)"),
+    (["sweep", *PAIR, "--v-range", "0", "inf", "3"], EXIT_INPUT,
+     "error: invalid v range (0.0, inf, 3)"),
+    (["compare", "--h-range", "1", "4", "nan", "--v-range", "0", "1", "3"], EXIT_INPUT,
+     "error: invalid h range (1.0, 4.0, nan)"),
+    (["compare", "--h-range", "1", "4", "inf", "--v-range", "0", "1", "3"], EXIT_INPUT,
+     "error: invalid h range (1.0, 4.0, inf)"),
+    (["compare", "--h-range", "1", "inf", "3", "--v-range", "0", "1", "3"], EXIT_INPUT,
+     "error: invalid h range (1.0, inf, 3)"),
+    (["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "nan"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, nan)"),
+    (["check", *PAIR, "--v", "nan"], EXIT_INPUT, "error: weight v must be finite, got nan"),
+    (["check", *PAIR, "--v=-inf"], EXIT_INPUT, "error: weight v must be finite, got -inf"),
+    (["check", *PAIR, "--v", "0.5", "--tol", "-1"], EXIT_INPUT,
+     "error: tolerance must be finite and >= 0, got -1.0"),
+    (["check", *PAIR, "--v", "0.5", "--tol", "nan"], EXIT_INPUT,
+     "error: tolerance must be finite and >= 0, got nan"),
+    (["check", *PAIR, "--v", "0.5", "--tol", "inf"], EXIT_INPUT,
+     "error: tolerance must be finite and >= 0, got inf"),
+    (["sweep", *PAIR, "--v-range", "0", "1", "3", "--tol", "-1"], EXIT_INPUT,
+     "error: tolerance must be finite and >= 0, got -1.0"),
+    (["random", "--regime", "above", "--count", "1", "--v", "nan"], EXIT_INPUT,
+     "error: weight v must be finite, got nan"),
+    (["check", *PAIR, "--v", "1000"], EXIT_NUMERICAL, "numerical failure: "),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_bad_value_is_one_line_not_a_traceback(tmp_path, capsys, argv, code, message):
+    paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),
+             "B": write_matrix(tmp_path / "b.json", B_2x2)}
+    assert main([paths.get(x, x) for x in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--regime", "above", "--count", "-1"], "error: count must be >= 0 and dim in [1, 512]\n"),
+    (["--regime", "above", "--dim", "0"], "error: count must be >= 0 and dim in [1, 512]\n"),
+    (["--regime", "above", "--dim", "600"], "error: count must be >= 0 and dim in [1, 512]\n"),
+    (["--regime", "extended", "--v", "0.5"],
+     "error: extended regime needs a weight outside [0, 1], got 0.5\n"),
+])
+def test_random_rejects_bad_arguments(capsys, argv, message):
+    assert main(["random", *argv]) == EXIT_INPUT
+    assert capsys.readouterr().err == message
+
+
+@pytest.fixture
+def doubled_young(monkeypatch):
+    """Double the ``young.classical`` constant, which then fails on every pair."""
+    from dataclasses import replace
+
+    real_catalog = cli.catalog
+    monkeypatch.setattr(cli, "catalog", lambda sw, v, **kwargs: [
+        replace(b_, constant=b_.constant * 2) if b_.name == "young.classical" else b_
+        for b_ in real_catalog(sw, v, **kwargs)])
+
+
+def test_sweep_with_a_failing_bound_exits_1(mats, capsys, doubled_young):
+    a, b = mats
+    assert main(["sweep", "--matrix-a", a, "--matrix-b", b,
+                 "--v-range", "0", "1", "3"]) == EXIT_BOUND_FAILED
+
+
+def test_random_counts_failing_reports(capsys, doubled_young):
+    assert main(["random", "--regime", "below", "--count", "4", "--dim", "3",
+                 "--seed", "1"]) == EXIT_BOUND_FAILED
+    assert " count=4 failures=4 " in capsys.readouterr().out
