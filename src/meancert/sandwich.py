@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .eigen import (
     SpectralDecomposition,
@@ -46,7 +46,6 @@ class SandwichInterval:
 
     s: float
     t: float
-    tight: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.t) and 0.0 < self.s <= self.t):
@@ -118,19 +117,25 @@ def sandwich_of(a: SymPDMatrix, b: SymPDMatrix) -> SandwichInterval:
     return SandwichInterval(float(lam[0]), float(lam[-1]))
 
 
+def box_bands(box: SpectralBox, order: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(A's band, B's band) of the box: A_BELOW_B puts A in [m', m] and B in
+    [M, M']; B_BELOW_A swaps them."""
+    lo, hi = (box.m_outer, box.m_inner), (box.M_inner, box.M_outer)
+    if order == A_BELOW_B:
+        return lo, hi
+    if order == B_BELOW_A:
+        return hi, lo
+    raise InputError(f"unknown box order '{order}'")
+
+
 def sandwich_from_box(box: SpectralBox, order: str) -> SandwichInterval:
-    """Convert box hypotheses to sandwich scalars.
+    """Sandwich scalars implied by the box: s = b_lo / a_hi and t = b_hi / a_lo.
 
     Case A_BELOW_B gives (M/m, M'/m') in the 'above' regime; case
     B_BELOW_A gives (m'/M', m/M) in the 'below' regime.
     """
-    if order == A_BELOW_B:
-        s, t = box.M_inner / box.m_inner, box.M_outer / box.m_outer
-    elif order == B_BELOW_A:
-        s, t = box.m_outer / box.M_outer, box.m_inner / box.M_inner
-    else:
-        raise InputError(f"unknown box order '{order}'")
-    return SandwichInterval(s, t, tight=False)
+    (a_lo, a_hi), (b_lo, b_hi) = box_bands(box, order)
+    return SandwichInterval(b_lo / a_hi, b_hi / a_lo)
 
 
 def uniform_box_of(a: SymPDMatrix, b: SymPDMatrix) -> UniformBox:

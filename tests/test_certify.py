@@ -435,6 +435,10 @@ class TestGenerators:
         assert b.eigenvalues[-1] <= box.m_inner + 1e-12
         assert a.eigenvalues[0] >= box.M_inner - 1e-12
 
+    def test_box_instance_unknown_order(self):
+        with pytest.raises(InputError, match="unknown box order 'sideways'"):
+            gen_box_instance(4, SpectralBox(0.5, 1.0, 2.0, 4.0), "sideways", 0)
+
     def test_box_instance_regime(self):
         box = SpectralBox(0.5, 1.0, 2.0, 4.0)
         a, b = gen_box_instance(4, box, A_BELOW_B, 5)

@@ -279,10 +279,12 @@ def test_dimension_mismatch_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", [
     ["random", "--regime", "above", "--count", "0", "--out", "summary.txt"],
     ["compare", "--h-range", "2", "4", "3", "--v-range", "0", "1", "3", "--tol", "1e-6"],
-], ids=["random --out", "compare --tol"])
-def test_option_the_command_does_not_read_is_rejected(argv):
+    ["check", "--matrix-a", "A", "--matrix-b", "B", "--v", "0.5", "--format", "csv"],
+], ids=["random --out", "compare --tol", "check --format"])
+def test_option_the_command_does_not_read_is_rejected(mats, argv):
+    paths = dict(zip("AB", mats))
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([paths.get(x, x) for x in argv])
     assert exc.value.code == 2
 
 
@@ -295,13 +297,24 @@ class TestOutputFile:
         report = parse_report(out.read_text())
         assert report.overall_pass
 
-    def test_check_csv_format(self, mats, capsys):
-        a, b = mats
-        main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.5",
-              "--format", "csv"])
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == GOLDEN_CSV_HEADER
-        assert len(lines) == 2
+
+@pytest.mark.parametrize("v", ["0.3", "1.5"])
+def test_one_weight_sweep_is_the_check_report_as_csv(mats, capsys, v):
+    a, b = mats
+    assert main(["sweep", "--matrix-a", a, "--matrix-b", b,
+                 "--v-range", v, v, "1"]) == EXIT_PASS
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == GOLDEN_CSV_HEADER
+    assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", v]) == EXIT_PASS
+    report = parse_report(capsys.readouterr().out)
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["v"]) == float(v)
+    for r in report.results:
+        const, resid = cells[f"const_{r.statement.name}"], cells[f"resid_{r.statement.name}"]
+        if r.statement.applicable:
+            assert (float(const), float(resid)) == (r.statement.constant, r.verdict.min_eig)
+        else:
+            assert (const, resid) == ("", "")
 
 
 A_2x2 = [[2.0, 1.0], [1.0, 3.0]]
@@ -341,6 +354,14 @@ PAIR = ["--matrix-a", "A", "--matrix-b", "B"]
     (["random", "--regime", "above", "--count", "1", "--v", "nan"], EXIT_INPUT,
      "error: weight v must be finite, got nan"),
     (["check", *PAIR, "--v", "1000"], EXIT_NUMERICAL, "numerical failure: "),
+    (["sweep", *PAIR, "--v-range", "0", "1", "1e20"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, 100000000000000000000)"),
+    (["sweep", *PAIR, "--v-range", "0", "1", "10001"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, 10001)"),
+    (["compare", "--h-range", "1", "4", "1e20", "--v-range", "0", "1", "3"], EXIT_INPUT,
+     "error: invalid h range (1.0, 4.0, 100000000000000000000)"),
+    (["compare", "--h-range", "1", "4", "101", "--v-range", "0", "1", "100"], EXIT_INPUT,
+     "error: invalid v range (0.0, 1.0, 100)"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_bad_value_is_one_line_not_a_traceback(tmp_path, capsys, argv, code, message):
     paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),

@@ -12,6 +12,7 @@ from meancert.sandwich import (
     STRADDLE,
     SandwichInterval,
     SpectralBox,
+    box_bands,
     classify_regime,
     relative_spectrum,
     sandwich_from_box,
@@ -49,12 +50,6 @@ class TestClassification:
         sw = SandwichInterval(s, t)
         assert (sw.regime, sw.near_far) == (regime, near_far)
 
-    def test_tight_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            SandwichInterval(0.5, 2.0, False)
-        assert SandwichInterval(0.5, 2.0).tight
-        assert not SandwichInterval(0.5, 2.0, tight=False).tight
-
     def test_invalid_scalars(self):
         with pytest.raises(DomainError):
             SandwichInterval(2.0, 1.0)
@@ -71,7 +66,6 @@ class TestSandwichOf:
             sw = sandwich_of(a, b)
             assert sw.s == pytest.approx(c, rel=1e-10)
             assert sw.t == pytest.approx(c, rel=1e-10)
-            assert sw.tight
 
     def test_diagonal_ratios(self):
         a = SymPDMatrix(np.diag([2.0, 3.0]))
@@ -137,11 +131,22 @@ class TestBoxes:
         assert sw.s == pytest.approx(1 / 6)
         assert sw.t == pytest.approx(2 / 3)
         assert sw.regime == BELOW
-        assert not sw.tight
 
-    def test_unknown_order(self):
-        with pytest.raises(InputError):
-            sandwich_from_box(SpectralBox(1.0, 2.0, 3.0, 6.0), "sideways")
+    @pytest.mark.parametrize("read", [box_bands, sandwich_from_box])
+    def test_unknown_order(self, read):
+        with pytest.raises(InputError, match="unknown box order 'sideways'"):
+            read(SpectralBox(1.0, 2.0, 3.0, 6.0), "sideways")
+
+    @pytest.mark.parametrize("order,bands", [
+        (A_BELOW_B, ((1.0, 2.0), (3.0, 6.0))),
+        (B_BELOW_A, ((3.0, 6.0), (1.0, 2.0))),
+    ])
+    def test_box_bands_are_a_then_b(self, order, bands):
+        box = SpectralBox(1.0, 2.0, 3.0, 6.0)
+        assert box_bands(box, order) == bands
+        (a_lo, a_hi), (b_lo, b_hi) = bands
+        sw = sandwich_from_box(box, order)
+        assert (sw.s, sw.t) == (b_lo / a_hi, b_hi / a_lo)
 
     def test_uniform_box_of(self):
         a = SymPDMatrix(np.diag([1.0, 2.0]))
