@@ -9,12 +9,15 @@ grid point.
 Literature bounds (zuo, specht, dragomir, tominaga) are certified like the
 rest, but a violation is recorded as a finding rather than an overall
 failure: their original hypotheses are assumed, not re-derived, from the
-sandwich data at hand.
+sandwich data at hand.  A literature bound that floating point cannot check
+(its constant or residual overflows, or its Loewner check raises a
+numerical failure) is reported inapplicable with the reason; any other
+bound that overflows is a numerical failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,17 +112,6 @@ class CertReport:
             "overall_pass": self.overall_pass,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CertReport":
-        return cls(
-            instance=dict(d["instance"]),
-            results=tuple(
-                BoundResult(BoundStatement(**r["statement"]),
-                            Verdict(**r["verdict"]) if r["verdict"] else None)
-                for r in d["bounds"]),
-            comparison=dict(d["comparison"]) if d["comparison"] else None,
-        )
-
 
 def _in_unit(v: float) -> bool:
     return 0.0 <= v <= 1.0
@@ -140,8 +132,8 @@ class _Point:
         self.above = sw.regime == ABOVE
         self.near, self.far = sw.near_far
         self.uniform_box = uniform_box
-        self.box_near = None  # stays None unless the spectral-box bounds apply
-        if not self.in_unit and spectral_box is not None:
+        self.box_near = None  # stays None without a box; a given box and order are always read
+        if spectral_box is not None:
             self.box_near, self.box_far = sandwich_from_box(spectral_box, box_order).near_far
             (self.box_lo_ref, self.box_hi_ref), _ = box_bands(spectral_box, box_order)
 
@@ -319,11 +311,20 @@ def verify(
             results.append(BoundResult(bound, None))
             continue
         try:
-            res = _residual(bound, nabla, sharp, harm, a.mat)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                res = _residual(bound, nabla, sharp, harm, a.mat)
+                scale = float(np.maximum(1.0, np.linalg.norm(res)))  # keeps a NaN norm
+            if not np.isfinite(scale):
+                raise NumericalError(
+                    f"{'constant' if np.isinf(bound.constant) else 'residual'} overflowed")
             lv: LoewnerVerdict = loewner_geq_zero(res, tol_rel)
         except NumericalError as exc:
-            raise NumericalError(f"bound {bound.name}: {exc}") from exc
-        scale = max(1.0, float(np.linalg.norm(res)))
+            if not bound.literature:
+                raise NumericalError(f"bound {bound.name}: {exc}") from exc
+            results.append(BoundResult(replace(
+                bound, constant=None, applicable=False,
+                applicability_reason=f"not checkable in floating point: {exc}"), None))
+            continue
         results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig, lv.min_eig / scale)))
     return CertReport(instance=instance or {}, results=tuple(results), comparison=comparison)
 

@@ -70,10 +70,6 @@ def emit_report(report: CertReport) -> str:
     return json.dumps(report.to_dict(), indent=2)
 
 
-def parse_report(text: str) -> CertReport:
-    return CertReport.from_dict(json.loads(text))
-
-
 def csv_header() -> list[str]:
     cols = list(CSV_FIXED_COLUMNS)
     for name in CATALOG_ORDER:
@@ -92,14 +88,9 @@ def _fmt(x) -> str:
 
 def report_csv_row(report: CertReport) -> list[str]:
     row = [_fmt(report.instance.get(c)) for c in CSV_FIXED_COLUMNS]
-    by_name = {r.statement.name: r for r in report.results}
-    for name in CATALOG_ORDER:
-        r = by_name.get(name)
-        if r is None or not r.statement.applicable:
-            row.extend(["", ""])
-        else:
-            row.append(_fmt(r.statement.constant))
-            row.append(_fmt(r.verdict.min_eig if r.verdict else None))
+    for r in report.results:
+        row.append(_fmt(r.statement.constant))
+        row.append(_fmt(r.verdict.min_eig if r.verdict else None))
     return row
 
 

@@ -9,7 +9,6 @@ from meancert import scalars as sc
 from meancert.certify import (
     CATALOG_ORDER,
     HARM_VS_SHARP,
-    CertReport,
     catalog,
     compare_constants,
     comparison_of,
@@ -181,14 +180,15 @@ class TestCatalog:
         sw = SandwichInterval(0.5, 2.0)
         with pytest.raises(InputError, match="unknown box order 'sideways'"):
             catalog(sw, 1.5, spectral_box=BOX, box_order="sideways")
-        # the order is only read where the box bounds apply
-        assert not by_name(catalog(sw, 0.5, spectral_box=BOX, box_order="sideways"))[
-            "ext.box.lower"].applicable
+        # a given box's order is read at every weight, not only where its bounds apply
+        with pytest.raises(InputError, match="unknown box order 'sideways'"):
+            catalog(sw, 0.5, spectral_box=BOX, box_order="sideways")
         assert not by_name(catalog(sw, 1.5, box_order="sideways"))["ext.box.lower"].applicable
 
-    def test_spectral_box_without_order_is_an_error(self):
+    @pytest.mark.parametrize("v", [0.5, 1.5])
+    def test_spectral_box_without_order_is_an_error(self, v):
         with pytest.raises(InputError, match="unknown box order 'None'"):
-            catalog(SandwichInterval(0.5, 2.0), 1.5, spectral_box=BOX)
+            catalog(SandwichInterval(0.5, 2.0), v, spectral_box=BOX)
 
     def test_lower_multiplicative_constants_at_least_one(self):
         for s, t in [(0.2, 0.8), (1.5, 6.0), (0.5, 2.0)]:
@@ -250,15 +250,6 @@ class TestVerify:
         report = verify(a, b, 0.5, tampered)
         assert not report.overall_pass
 
-    def test_report_roundtrip(self):
-        a, b = gen_instance(3, 0.4, 0.9, 2)
-        sw = sandwich_of(a, b)
-        report = verify(a, b, 0.25, catalog(sw, 0.25),
-                        instance={"dim": 3, "v": 0.25, "s": sw.s, "t": sw.t,
-                                  "regime": sw.regime})
-        d = report.to_dict()
-        assert CertReport.from_dict(d) == report
-
     @pytest.mark.parametrize("s0,t0,v,applicable", [
         (1.2, 5.0, 0.3, 13), (0.4, 2.5, 0.3, 7), (0.4, 2.5, 1.5, 2)])
     def test_normalized_margin_is_min_eig_over_residual_norm(self, s0, t0, v, applicable):
@@ -290,14 +281,13 @@ class TestVerify:
 
     def test_pass_and_findings_are_read_from_the_verdicts(self):
         a, b = gen_instance(5, 1.05, 50.0, 7)
-        d = verify(a, b, 0.5, catalog(sandwich_of(a, b), 0.5)).to_dict()
-        assert d["overall_pass"] and d["findings"]
-        d["findings"], d["overall_pass"] = [], False  # stale copies are not read back
-        for r in d["bounds"]:
-            if r["statement"]["name"] == "thm1.lower":
-                r["verdict"]["holds"] = False
-        report = CertReport.from_dict(d)
+        report = verify(a, b, 0.5, catalog(sandwich_of(a, b), 0.5))
+        assert report.overall_pass and report.findings
+        report = replace(report, results=tuple(
+            replace(r, verdict=replace(r.verdict, holds=False))
+            if r.statement.name == "thm1.lower" else r for r in report.results))
         assert not report.overall_pass
+        assert not report.to_dict()["overall_pass"]
         assert report.findings == tuple(
             f"literature bound {r.statement.name} violated: "
             f"min residual eigenvalue {r.verdict.min_eig:.6e}"

@@ -10,10 +10,8 @@ from meancert.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     csv_header,
-    emit_report,
     load_matrix,
     main,
-    parse_report,
 )
 
 GOLDEN_CSV_HEADER = (
@@ -86,23 +84,23 @@ class TestCheck:
     def test_same_matrix_passes_with_zero_residuals(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", [[2.0, 1.0], [1.0, 3.0]])
         assert main(["check", "--matrix-a", a, "--matrix-b", a, "--v", "0.5"]) == EXIT_PASS
-        report = parse_report(capsys.readouterr().out)
-        assert report.overall_pass
-        for r in report.results:
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall_pass"]
+        for r in report["bounds"]:
             # the uniform-box bounds keep slack from A's own spectral spread
-            if r.verdict is not None and r.statement.name not in (
+            if r["verdict"] is not None and r["statement"]["name"] not in (
                     "xi.upper", "tominaga.upper"):
-                assert abs(r.verdict.min_eig) <= 1e-9
+                assert abs(r["verdict"]["min_eig"]) <= 1e-9
 
     def test_straddle_report(self, mats, capsys):
         a, b = mats
         assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.5"]) == EXIT_PASS
-        report = parse_report(capsys.readouterr().out)
-        assert report.instance["regime"] == "straddle"
-        res = {r.statement.name: r for r in report.results}
-        assert res["thm3.upper"].statement.constant == pytest.approx(
+        report = json.loads(capsys.readouterr().out)
+        assert report["instance"]["regime"] == "straddle"
+        res = {r["statement"]["name"]: r for r in report["bounds"]}
+        assert res["thm3.upper"]["statement"]["constant"] == pytest.approx(
             0.0857864376269049, rel=1e-12)
-        assert res["thm3.upper"].verdict.holds
+        assert res["thm3.upper"]["verdict"]["holds"]
 
     def test_malformed_file_exit_2(self, tmp_path, mats):
         a, _ = mats
@@ -136,11 +134,11 @@ class TestCheck:
     def test_extended_weight_routes_to_extended_catalog(self, mats, capsys):
         a, b = mats
         assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "1.5"]) == EXIT_PASS
-        report = parse_report(capsys.readouterr().out)
-        assert report.instance["extended_weight"]
-        res = {r.statement.name: r for r in report.results}
-        assert res["ext.lower"].statement.applicable
-        assert not res["young.classical"].statement.applicable
+        report = json.loads(capsys.readouterr().out)
+        assert report["instance"]["extended_weight"]
+        res = {r["statement"]["name"]: r for r in report["bounds"]}
+        assert res["ext.lower"]["statement"]["applicable"]
+        assert not res["young.classical"]["statement"]["applicable"]
 
     def test_report_json_shape(self, mats, capsys):
         a, b = mats
@@ -148,12 +146,6 @@ class TestCheck:
         obj = json.loads(capsys.readouterr().out)
         assert list(obj.keys()) == GOLDEN_REPORT_KEYS
         assert list(obj["instance"].keys()) == GOLDEN_INSTANCE_KEYS
-
-    def test_report_roundtrip(self, mats, capsys):
-        a, b = mats
-        main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.3"])
-        text = capsys.readouterr().out
-        assert emit_report(parse_report(text)).strip() == text.strip()
 
 
 class TestSweep:
@@ -294,8 +286,8 @@ class TestOutputFile:
         out = tmp_path / "report.json"
         assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.5",
                      "--out", str(out)]) == EXIT_PASS
-        report = parse_report(out.read_text())
-        assert report.overall_pass
+        report = json.loads(out.read_text())
+        assert report["overall_pass"]
 
 
 @pytest.mark.parametrize("v", ["0.3", "1.5"])
@@ -306,13 +298,14 @@ def test_one_weight_sweep_is_the_check_report_as_csv(mats, capsys, v):
     header, row = capsys.readouterr().out.splitlines()
     assert header == GOLDEN_CSV_HEADER
     assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", v]) == EXIT_PASS
-    report = parse_report(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out)
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["v"]) == float(v)
-    for r in report.results:
-        const, resid = cells[f"const_{r.statement.name}"], cells[f"resid_{r.statement.name}"]
-        if r.statement.applicable:
-            assert (float(const), float(resid)) == (r.statement.constant, r.verdict.min_eig)
+    for r in report["bounds"]:
+        st = r["statement"]
+        const, resid = cells[f"const_{st['name']}"], cells[f"resid_{st['name']}"]
+        if st["applicable"]:
+            assert (float(const), float(resid)) == (st["constant"], r["verdict"]["min_eig"])
         else:
             assert (const, resid) == ("", "")
 
@@ -406,3 +399,49 @@ def test_random_counts_failing_reports(capsys, doubled_young):
     assert main(["random", "--regime", "below", "--count", "4", "--dim", "3",
                  "--seed", "1"]) == EXIT_BOUND_FAILED
     assert " count=4 failures=4 " in capsys.readouterr().out
+
+
+def _patch_bound(monkeypatch, name, **changes):
+    """Make the CLI's catalog return bound ``name`` with ``changes`` applied."""
+    from dataclasses import replace
+
+    real_catalog = cli.catalog
+    monkeypatch.setattr(cli, "catalog", lambda sw, v, **kwargs: [
+        replace(b_, **changes) if b_.name == name else b_
+        for b_ in real_catalog(sw, v, **kwargs)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a_data,b_data,error", [
+    (np.eye(2), np.diag([100.0, 110.0]), "constant overflowed"),
+    (np.eye(2), np.diag([60.0, 66.0]), "residual overflowed"),
+    (np.eye(3), 100.0 * np.eye(3), "constant overflowed"),
+    (1000.0 * np.eye(2), np.diag([76000.0, 83600.0]), "residual overflowed"),
+])
+def test_literature_bound_floating_point_cannot_check_is_inapplicable(
+        tmp_path, capsys, monkeypatch, a_data, b_data, error):
+    argv = ["check", "--matrix-a", write_matrix(tmp_path / "a.json", a_data),
+            "--matrix-b", write_matrix(tmp_path / "b.json", b_data), "--v", "0.5"]
+    assert main(argv) == EXIT_PASS
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    dragomir = next(r for r in report["bounds"] if r["statement"]["name"] == "dragomir")
+    assert dragomir["verdict"] is None
+    st = dragomir["statement"]
+    assert (st["constant"], st["applicable"], st["applicability_reason"]) == (
+        None, False, f"not checkable in floating point: {error}")
+    # everything else is the report of the catalog with dragomir never applicable
+    _patch_bound(monkeypatch, "dragomir", constant=None, applicable=False,
+                 applicability_reason=st["applicability_reason"])
+    assert main(argv) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_non_literature_constant_overflow_is_numerical_failure(mats, capsys, monkeypatch):
+    _patch_bound(monkeypatch, "young.classical", constant=float("inf"))
+    a, b = mats
+    assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.5"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: bound young.classical: constant overflowed\n"
