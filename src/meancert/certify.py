@@ -268,8 +268,11 @@ def catalog(
     out = []
     for name, form, side, relation, ref, literature, source, gate, constant in TABLE:
         reason = gate(p)
-        out.append(BoundStatement(name, form, side, relation,
-                                  None if reason else constant(p), ref, not reason,
+        try:
+            value = None if reason else constant(p)
+        except OverflowError as exc:  # Python's float power
+            raise NumericalError(f"bound {name}: constant overflowed at weight {v}") from exc
+        out.append(BoundStatement(name, form, side, relation, value, ref, not reason,
                                   reason, source, literature))
     return out
 

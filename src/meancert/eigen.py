@@ -1,9 +1,15 @@
 """Dense symmetric eigendecomposition and the matrix functions built on it.
 
-The eigensolver is a cyclic Jacobi sweep with a rotation threshold:
-accurate to machine precision for the desk-scale dimensions this package
-targets (n <= 512), with no dependence on LAPACK.  Everything downstream
+The eigensolver is Jacobi rotations with a rotation threshold: accurate to
+machine precision for the desk-scale dimensions this package targets
+(n <= 512), with no dependence on LAPACK.  Everything downstream
 (fractional powers, congruences, Loewner-order checks) goes through it.
+
+There are two kernels with one convergence contract.  The cyclic kernel
+rotates one pair at a time; numba compiles it, and without numba it runs as
+plain Python on nested lists.  Without numba, matrices of dimension
+``ROUND_ROBIN_MIN_DIM`` and up go to the round-robin kernel instead, which
+applies n/2 disjoint rotations at once through numpy.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ OFF_DIAG_REL_TOL = 1e-14
 SYMMETRY_REL_TOL = 1e-12
 PD_REL_MARGIN = 1e-12
 DEFAULT_LOEWNER_TOL = 1e-9
+# Smallest dimension the round-robin kernel takes without numba; below it
+# the plain-Python cyclic kernel is faster (eig_sym timings, CHANGES.md).
+ROUND_ROBIN_MIN_DIM = 15
 
 try:
     from numba import njit
@@ -100,12 +109,86 @@ def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
     return -1
 
 
+def _round_robin_pairs(n):
+    """Flat indices of each round's rotations in an even-sized work matrix.
+
+    The work matrix is n x n, padded to even N.  Row r of the result lists
+    the (p, p), (q, q), (p, q) and (q, p) entries, in four blocks of N/2,
+    of round r's disjoint pairs p < q.  The N - 1 rounds of this Brent-Luk
+    (circle method) schedule meet every pair once.
+    """
+    big = n + n % 2
+    r = np.arange(big - 1)[:, None]
+    k = np.arange(1, big // 2)
+    # index big - 1 stays put; the others move one place each round
+    p = np.concatenate([r, (r + k) % (big - 1)], axis=1)
+    q = np.concatenate([np.full_like(r, big - 1), (r - k) % (big - 1)], axis=1)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    return np.concatenate([lo * (big + 1), hi * (big + 1), lo * big + hi, hi * big + lo],
+                          axis=1)
+
+
+def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
+    """Round-robin Jacobi with threshold; diagonalizes the ndarray ``a`` in place.
+
+    Each round rotates n/2 disjoint pairs at once: their angles are computed
+    as vectors, and one rotation matrix J holding the pairs' 2 x 2 blocks
+    applies A <- J^T A J and V <- V J.  Odd n gets a zero row and column,
+    whose pair never reaches the rotation threshold.  The convergence test,
+    the rotation threshold, the angle (t = sgn(theta) / (|theta| +
+    sqrt(theta^2 + 1)), or 0.5 / theta above |theta| = 1e12), the exact
+    update of each rotated 2 x 2 block and the return value are those of
+    ``_jacobi_kernel``; the rounding differs, at about 1e-15 relative.
+    """
+    n = len(a)
+    big = n + n % 2
+    half = big // 2
+    x = np.zeros((big, big))
+    x[:n, :n] = a
+    v = np.eye(big)
+    v[:n, :n] = vec
+    rotate_floor = 0.01 * rel_tol * norm / (n * n)
+    rounds = _round_robin_pairs(n)
+    for sweep in range(max_sweeps + 1):
+        off = x - np.diag(np.diagonal(x))
+        if math.sqrt(float(np.sum(off * off))) <= rel_tol * norm:
+            a[...] = x[:n, :n]
+            vec[...] = v[:n, :n]
+            return sweep
+        if sweep == max_sweeps:
+            break
+        for idx in rounds:
+            entries = x.reshape(-1)[idx]
+            app, aqq, apq = entries[:half], entries[half:2 * half], entries[2 * half:3 * half]
+            rotate = np.abs(apq) > rotate_floor
+            # + 0.0 turns -0.0 into +0.0: a zero angle turns by +pi/4, as in the cyclic kernel
+            theta = 0.5 * (aqq - app) / np.where(rotate, apq, 1.0) + 0.0
+            t = 1.0 / (theta + np.copysign(np.hypot(theta, 1.0), theta))
+            huge = np.abs(theta) > 1e12
+            if huge.any():
+                t[huge] = 0.5 / theta[huge]
+            t = np.where(rotate, t, 0.0)
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            j = np.zeros(big * big)
+            j[idx] = np.concatenate((c, c, s, -s))
+            j = j.reshape(big, big)
+            x = j.T @ x @ j
+            v = v @ j
+            t_apq = t * apq
+            kept = np.where(rotate, 0.0, apq)
+            x.reshape(-1)[idx] = np.concatenate((app - t_apq, aqq + t_apq, kept, kept))
+    return -1
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and an orthogonal eigenvector basis."""
+    """Eigenvalues (ascending), an orthogonal eigenvector basis, and the
+    Jacobi sweeps that produced them (0 when none ran)."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
+    sweeps: int = 0
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Assemble ``Q diag(values) Q^T``, explicitly symmetrized."""
@@ -127,11 +210,14 @@ def _as_square_float(x) -> np.ndarray:
 
 
 def eig_sym(x) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
-    Raises NumericalError if the matrix norm overflows or the sweeps fail
-    to converge (cap of 100 sweeps; convergence is off-diagonal Frobenius
-    mass below 1e-14 times the matrix norm).
+    Without numba, dimensions from ``ROUND_ROBIN_MIN_DIM`` up use the
+    round-robin kernel and smaller ones the cyclic kernel; with numba every
+    dimension uses the compiled cyclic kernel.  Raises NumericalError if the
+    matrix norm overflows or the sweeps fail to converge (cap of 100 sweeps;
+    convergence is off-diagonal Frobenius mass below 1e-14 times the matrix
+    norm).
     """
     arr = _as_square_float(x)
     n = arr.shape[0]
@@ -144,18 +230,20 @@ def eig_sym(x) -> SpectralDecomposition:
     a = 0.5 * (arr + arr.T)
     vec = np.eye(n)
     if JITTED:
-        status = _jacobi_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+        sweeps = _jacobi_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+    elif n >= ROUND_ROBIN_MIN_DIM:
+        sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
     else:
         a_rows, vec_rows = a.tolist(), vec.tolist()
-        status = _jacobi_kernel(a_rows, vec_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+        sweeps = _jacobi_kernel(a_rows, vec_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
         a, vec = np.array(a_rows), np.array(vec_rows)
-    if status < 0:
+    if sweeps < 0:
         raise NumericalError(
             f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
         )
     evals = np.diag(a).copy()
     order = np.argsort(evals, kind="stable")
-    return SpectralDecomposition(evals[order], np.ascontiguousarray(vec[:, order]))
+    return SpectralDecomposition(evals[order], np.ascontiguousarray(vec[:, order]), sweeps)
 
 
 class SymPDMatrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigen import SymPDMatrix, check_same_dim, congruence, eig_sym, mat_fpow
-from .errors import DomainError
+from .errors import DomainError, MeanCertError, NumericalError
 from .sandwich import relative_spectrum
 
 
@@ -22,10 +22,24 @@ def op_nabla(a: SymPDMatrix, b: SymPDMatrix, v: float) -> np.ndarray:
 
 
 def op_sharp(a: SymPDMatrix, b: SymPDMatrix, v: float) -> SymPDMatrix:
-    """Weighted geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^v A^(1/2)."""
+    """Weighted geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^v A^(1/2).
+
+    The mean is PD for every PD pair and real weight, so a power of the
+    relative spectrum that leaves the normal float range, or a computed mean
+    that fails to build as a SymPDMatrix, is a NumericalError naming the
+    weight.
+    """
     dec = relative_spectrum(a, b)
-    powered = dec.apply(np.power(dec.eigenvalues, v))
-    return SymPDMatrix(congruence(powered, mat_fpow(a, 0.5).mat))
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.power(dec.eigenvalues, v)
+    if not np.all((powers >= np.finfo(float).tiny) & (powers < np.inf)):
+        lost = "overflowed" if np.any(powers == np.inf) else "underflowed"
+        raise NumericalError(
+            f"geometric mean at weight {v}: relative spectrum to the power {v} {lost}")
+    try:
+        return SymPDMatrix(congruence(dec.apply(powers), mat_fpow(a, 0.5).mat))
+    except MeanCertError as exc:
+        raise NumericalError(f"geometric mean at weight {v}: {exc}") from exc
 
 
 def op_harm(a: SymPDMatrix, b: SymPDMatrix, v: float) -> SymPDMatrix:

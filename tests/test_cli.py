@@ -445,3 +445,34 @@ def test_non_literature_constant_overflow_is_numerical_failure(mats, capsys, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: bound young.classical: constant overflowed\n"
+
+
+def _instance_files(tmp_path, dim, s0, t0, seed):
+    a, b = certify.gen_instance(dim, s0, t0, seed)
+    return write_matrix(tmp_path / "a.json", a.mat), write_matrix(tmp_path / "b.json", b.mat)
+
+
+@pytest.mark.parametrize("instance,v", [
+    ((2, 0.2, 0.7, 102), 1000.0),  # B below A: lambda^v underflows for v >> 1
+    ((2, 1.5, 4.0, 7), -1000.0),   # B above A: the same for v << 0
+], ids=["b-below-a", "b-above-a"])
+def test_power_underflow_at_extreme_weight_is_numerical_failure(tmp_path, capsys, instance, v):
+    a, b = _instance_files(tmp_path, *instance)
+    assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", str(v)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerical failure: geometric mean at weight {v}: "
+                            f"relative spectrum to the power {v} underflowed\n")
+
+
+@pytest.mark.parametrize("instance,v", [
+    ((2, 1.5, 4.0, 7), 1000.0),
+    ((2, 0.2, 0.7, 102), -1000.0),
+], ids=["b-above-a", "b-below-a"])
+def test_constant_overflow_names_bound_and_weight(tmp_path, capsys, instance, v):
+    a, b = _instance_files(tmp_path, *instance)
+    assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", str(v)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"numerical failure: bound ext.lower: constant overflowed at weight {v}\n")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +127,8 @@ class TestJacobiKernelInputForms:
 
     @pytest.mark.parametrize("name,x", list(kernel_cases()))
     def test_eig_sym_same_on_either_path(self, name, x, monkeypatch):
+        # keep every n on the cyclic kernel, which the round-robin one would take over
+        monkeypatch.setattr(eigen, "ROUND_ROBIN_MIN_DIM", eigen.MAX_DIM + 1)
         monkeypatch.setattr(eigen, "_jacobi_kernel", plain_kernel())
         monkeypatch.setattr(eigen, "JITTED", False)
         via_lists = eig_sym(x)
@@ -130,6 +136,147 @@ class TestJacobiKernelInputForms:
         via_arrays = eig_sym(x)
         np.testing.assert_array_equal(via_lists.eigenvalues, via_arrays.eigenvalues)
         np.testing.assert_array_equal(via_lists.basis, via_arrays.basis)
+
+
+def round_robin_cases():
+    rng = np.random.default_rng(11)
+    for n in (16, 17, 31, 32, 48, 64):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q = q * np.sign(np.diag(r))
+        x = random_symmetric(rng, n)
+        yield f"random-{n}", x
+        yield f"repeated-{n}", (q * np.resize([1.0, 2.0, 5.0], n)) @ q.T
+        yield f"scalar-{n}", 3.0 * np.eye(n)
+        yield f"diagonal-{n}", np.diag(rng.standard_normal(n))
+        yield f"graded-{n}", (q * np.logspace(-8, 0, n)) @ q.T
+        yield f"huge-{n}", 1e150 * x
+        yield f"tiny-{n}", 1e-150 * x
+        yield f"indefinite-{n}", (q * rng.uniform(-1.0, 1.0, n)) @ q.T
+        # equal diagonal entries: every first rotation has theta = 0
+        yield f"constant-diagonal-{n}", np.ones((n, n)) + np.eye(n)
+        # off-diagonal entries near 1e-13 against diagonal gaps of 1: |theta| > 1e12
+        yield f"near-diagonal-{n}", np.diag(np.arange(1.0, n + 1.0)) + 1e-13 * x
+
+
+class TestRoundRobinKernel:
+    """Without numba, eig_sym hands n >= ROUND_ROBIN_MIN_DIM to the round-robin
+    kernel; it must match LAPACK to 1e-13 relative."""
+
+    @pytest.fixture(autouse=True)
+    def no_numba(self, monkeypatch):
+        monkeypatch.setattr(eigen, "JITTED", False)
+
+    @pytest.mark.parametrize("name,x", list(round_robin_cases()))
+    def test_matches_lapack(self, name, x):
+        n = len(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = eig_sym(x)
+        scale = np.linalg.norm(x, 2)
+        ref = np.linalg.eigvalsh(x)
+        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-13 * scale
+        assert np.linalg.norm(dec.basis.T @ dec.basis - np.eye(n), 2) <= 1e-13
+        assert np.linalg.norm(dec.apply(dec.eigenvalues) - x, 2) <= 1e-13 * scale
+        assert 0 <= dec.sweeps <= eigen.MAX_SWEEPS
+        if name.startswith(("scalar", "diagonal")):
+            assert dec.sweeps == 0
+
+    def test_repeat_call_same_bits(self):
+        x = random_symmetric(np.random.default_rng(12), 33)
+        first, second = eig_sym(x), eig_sym(x)
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.basis, second.basis)
+        assert first.sweeps == second.sweeps
+
+    def test_unconverged_sweeps_are_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(random_symmetric(np.random.default_rng(13), 16))
+        dec = eig_sym(np.diag(np.arange(16.0, 0.0, -1.0)))
+        np.testing.assert_array_equal(dec.eigenvalues, np.arange(1.0, 17.0))
+        assert dec.sweeps == 0
+
+    def test_dispatch_at_the_crossover(self, monkeypatch):
+        used = []
+
+        def spy(name, kernel):
+            def record(*args):
+                used.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(eigen, name, record)
+
+        spy("_jacobi_kernel", plain_kernel())
+        spy("_round_robin_kernel", eigen._round_robin_kernel)
+        rng = np.random.default_rng(14)
+        for n in (2, eigen.ROUND_ROBIN_MIN_DIM - 1, eigen.ROUND_ROBIN_MIN_DIM, 40):
+            eig_sym(random_symmetric(rng, n))
+        assert used == ["_jacobi_kernel", "_jacobi_kernel",
+                        "_round_robin_kernel", "_round_robin_kernel"]
+
+    def test_rotated_entries_are_set_exactly(self):
+        # 2 x 2 blocks on round 0's pairs: one round diagonalizes the matrix
+        n, rng = 16, np.random.default_rng(16)
+        p, q = np.divmod(eigen._round_robin_pairs(n)[0, n:3 * n // 2], n)
+        x = np.diag(rng.uniform(1.0, 2.0, n))
+        x[p, q] = x[q, p] = rng.uniform(-1.0, 1.0, n // 2)
+        a, vec = x.copy(), np.eye(n)
+        norm = float(np.linalg.norm(x))
+        assert eigen._round_robin_kernel(a, vec, 1, eigen.OFF_DIAG_REL_TOL, norm) == 1
+        assert np.count_nonzero(a - np.diag(np.diag(a))) == 0
+        app, aqq, apq = x[p, p], x[q, q], x[p, q]
+        theta = 0.5 * (aqq - app) / apq
+        t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        np.testing.assert_allclose(a[p, p], app - t * apq, rtol=1e-15)
+        np.testing.assert_allclose(a[q, q], aqq + t * apq, rtol=1e-15)
+
+    def test_every_pair_meets_once_per_sweep(self):
+        for n in (2, 3, 16, 17):
+            big = n + n % 2
+            rounds = eigen._round_robin_pairs(n)
+            assert rounds.shape == (big - 1, 2 * big)
+            pq = rounds[:, 2 * (big // 2):3 * (big // 2)]
+            p, q = np.divmod(pq, big)
+            assert np.all(p < q)
+            for rp, rq in zip(p, q):  # disjoint within a round
+                assert len(set(rp) | set(rq)) == big
+            assert len(set(zip(p.ravel(), q.ravel()))) == big * (big - 1) // 2
+
+
+def test_sweeps_recorded():
+    rng = np.random.default_rng(15)
+    assert eig_sym(np.zeros((3, 3))).sweeps == 0
+    assert eig_sym(np.diag([1.0, 2.0])).sweeps == 0
+    x = random_symmetric(rng, 5)
+    n_sweeps = plain_kernel()((0.5 * (x + x.T)).tolist(), np.eye(5).tolist(),
+                              eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
+                              float(np.sqrt(np.sum(np.square(x)))))
+    assert eig_sym(x).sweeps == n_sweeps >= 1
+    assert eigen.SpectralDecomposition(np.ones(2), np.eye(2)).sweeps == 0
+
+
+_HASH_EIG_SYM = """
+import hashlib, numpy as np
+from meancert.eigen import eig_sym
+for n in (32, 64):
+    x = np.random.default_rng(n).standard_normal((n, n))
+    dec = eig_sym(x + x.T)
+    print(hashlib.sha256(dec.eigenvalues.tobytes() + dec.basis.tobytes()).hexdigest())
+"""
+
+
+def test_same_bits_at_one_and_two_blas_threads():
+    src = os.path.dirname(os.path.dirname(eigen.__file__))
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _HASH_EIG_SYM], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 class TestSymPDMatrix:
