@@ -45,11 +45,13 @@ except ImportError:  # the kernel then runs as plain Python on nested lists
 def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
     """Cyclic Jacobi with threshold; diagonalizes ``a`` in place.
 
-    ``a`` and ``vec`` are n x n float arrays or lists of n float lists;
-    both forms run the same floating-point operations in the same order,
-    so their results agree bit for bit.  Rows are indexed one at a time
-    (``a[i][j]``), which numba compiles to views and plain Python runs on
-    list rows without boxing numpy scalars.
+    ``a`` is an n x n float array or a list of n float lists, and ``vec``
+    the same form with n rows, or with none when only eigenvalues are
+    wanted; the updates of ``a`` never read ``vec``.  Both forms run the
+    same floating-point operations in the same order, so their results
+    agree bit for bit.  Rows are indexed one at a time (``a[i][j]``), which
+    numba compiles to views and plain Python runs on list rows without
+    boxing numpy scalars.
 
     Returns the number of sweeps used, or -1 if the off-diagonal mass did
     not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps (NaN
@@ -100,7 +102,7 @@ def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
                         ap[i] = ai[p]
                         ai[q] = aiq + s * (aip - tau * aiq)
                         aq[i] = ai[q]
-                for i in range(n):
+                for i in range(len(vec)):
                     vi = vec[i]
                     vip = vi[p]
                     viq = vi[q]
@@ -133,19 +135,20 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
 
     Each round rotates n/2 disjoint pairs at once: their angles are computed
     as vectors, and one rotation matrix J holding the pairs' 2 x 2 blocks
-    applies A <- J^T A J and V <- V J.  Odd n gets a zero row and column,
-    whose pair never reaches the rotation threshold.  The convergence test,
-    the rotation threshold, the angle (t = sgn(theta) / (|theta| +
-    sqrt(theta^2 + 1)), or 0.5 / theta above |theta| = 1e12), the exact
-    update of each rotated 2 x 2 block and the return value are those of
-    ``_jacobi_kernel``; the rounding differs, at about 1e-15 relative.
+    applies A <- J^T A J and V <- V J; V has no rows when ``vec`` has none.
+    Odd n gets a zero row and column, whose pair never reaches the rotation
+    threshold.  The convergence test, the rotation threshold, the angle
+    (t = sgn(theta) / (|theta| + sqrt(theta^2 + 1)), or 0.5 / theta above
+    |theta| = 1e12), the exact update of each rotated 2 x 2 block and the
+    return value are those of ``_jacobi_kernel``; the rounding differs, at
+    about 1e-15 relative.
     """
     n = len(a)
     big = n + n % 2
     half = big // 2
     x = np.zeros((big, big))
     x[:n, :n] = a
-    v = np.eye(big)
+    v = np.eye(big) if len(vec) else np.zeros((0, big))
     v[:n, :n] = vec
     rotate_floor = 0.01 * rel_tol * norm / (n * n)
     rounds = _round_robin_pairs(n)
@@ -184,10 +187,11 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending), an orthogonal eigenvector basis, and the
-    Jacobi sweeps that produced them (0 when none ran)."""
+    Jacobi sweeps that produced them (0 when none ran).  ``basis`` is None
+    when the solve asked for eigenvalues only; ``apply`` then cannot run."""
 
     eigenvalues: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None
     sweeps: int = 0
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -209,8 +213,11 @@ def _as_square_float(x) -> np.ndarray:
     return arr
 
 
-def eig_sym(x) -> SpectralDecomposition:
+def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
+
+    With ``vectors=False`` no eigenvector basis is built and ``basis`` is
+    None; the eigenvalues and sweep count keep the same bits.
 
     Without numba, dimensions from ``ROUND_ROBIN_MIN_DIM`` up use the
     round-robin kernel and smaller ones the cyclic kernel; with numba every
@@ -226,9 +233,9 @@ def eig_sym(x) -> SpectralDecomposition:
     if not np.isfinite(norm):
         raise NumericalError("matrix Frobenius norm overflowed")
     if norm == 0.0:
-        return SpectralDecomposition(np.zeros(n), np.eye(n))
+        return SpectralDecomposition(np.zeros(n), np.eye(n) if vectors else None)
     a = 0.5 * (arr + arr.T)
-    vec = np.eye(n)
+    vec = np.eye(n) if vectors else np.zeros((0, n))
     if JITTED:
         sweeps = _jacobi_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
     elif n >= ROUND_ROBIN_MIN_DIM:
@@ -243,7 +250,8 @@ def eig_sym(x) -> SpectralDecomposition:
         )
     evals = np.diag(a).copy()
     order = np.argsort(evals, kind="stable")
-    return SpectralDecomposition(evals[order], np.ascontiguousarray(vec[:, order]), sweeps)
+    basis = np.ascontiguousarray(vec[:, order]) if vectors else None
+    return SpectralDecomposition(evals[order], basis, sweeps)
 
 
 class SymPDMatrix:
@@ -324,7 +332,7 @@ def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL) -> LoewnerVerdict:
     Holds iff the smallest eigenvalue is at least
     ``-tol_rel * max(1, ||X||_F)``; the eigenvalue is reported either way.
     """
-    dec = eig_sym(x)
+    dec = eig_sym(x, vectors=False)
     min_eig = float(dec.eigenvalues[0])
     norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
     return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, norm), min_eig)

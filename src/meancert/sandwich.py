@@ -13,7 +13,7 @@ from .eigen import (
     eig_sym,
     mat_fpow,
 )
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericalError
 
 BELOW = "below"
 ABOVE = "above"
@@ -102,18 +102,24 @@ class UniformBox:
         return self.M - self.m <= REGIME_TIE_TOL * self.M
 
 
-def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix) -> SpectralDecomposition:
-    """Eigendecomposition of A^(-1/2) B A^(-1/2): its ends bound B by A, its powers give A#_vB."""
+def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix,
+                      vectors: bool = True) -> SpectralDecomposition:
+    """Eigendecomposition of A^(-1/2) B A^(-1/2): its ends bound B by A, its powers give A#_vB.
+
+    The relative spectrum of a PD pair is positive, so a computed one that
+    is not is a NumericalError: the pair is too ill-conditioned to resolve.
+    """
     check_same_dim(a, b)
-    dec = eig_sym(congruence(b.mat, mat_fpow(a, -0.5).mat))
+    dec = eig_sym(congruence(b.mat, mat_fpow(a, -0.5).mat), vectors=vectors)
     if dec.eigenvalues[0] <= 0.0:
-        raise DomainError(f"congruence lost positivity: eigenvalue {dec.eigenvalues[0]:.6e}")
+        raise NumericalError(
+            f"relative spectrum lost positivity: smallest eigenvalue {dec.eigenvalues[0]:.6e}")
     return dec
 
 
 def sandwich_of(a: SymPDMatrix, b: SymPDMatrix) -> SandwichInterval:
     """Tight sandwich scalars: the ends of the relative spectrum of (A, B)."""
-    lam = relative_spectrum(a, b).eigenvalues
+    lam = relative_spectrum(a, b, vectors=False).eigenvalues
     return SandwichInterval(float(lam[0]), float(lam[-1]))
 
 

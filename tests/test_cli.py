@@ -476,3 +476,27 @@ def test_constant_overflow_names_bound_and_weight(tmp_path, capsys, instance, v)
     assert captured.out == ""
     assert captured.err == (
         f"numerical failure: bound ext.lower: constant overflowed at weight {v}\n")
+
+
+def _ill_conditioned_pair(tmp_path, seed, n):
+    """Two PD matrices with spectra from 2e-12 to 1 in random bases."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for name in ("a", "b"):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q = q * np.sign(np.diag(r))
+        m = (q * np.geomspace(2e-12, 1.0, n)) @ q.T
+        paths.append(write_matrix(tmp_path / f"{name}.json", 0.5 * (m + m.T)))
+    return paths
+
+
+@pytest.mark.parametrize("seed,n", [(0, 2), (3, 3)])
+def test_ill_conditioned_pair_is_numerical_failure(tmp_path, capsys, seed, n):
+    # both matrices load as PD, so a relative spectrum computed <= 0 is round-off, not bad input
+    a, b = _ill_conditioned_pair(tmp_path, seed, n)
+    load_matrix(a), load_matrix(b)
+    assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.5"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical failure: relative spectrum lost positivity: smallest eigenvalue ")

@@ -124,6 +124,12 @@ class TestJacobiKernelInputForms:
             assert sweeps_arr >= 1
         np.testing.assert_array_equal(np.array(a_list), a_arr)
         np.testing.assert_array_equal(np.array(vec_list), vec_arr)
+        # no eigenvector rows: the matrix updates, so the eigenvalues, keep their bits
+        a_list, a_arr_only = (0.5 * (x + x.T)).tolist(), 0.5 * (x + x.T)
+        assert kernel(a_list, [], *args) == sweeps_list
+        assert kernel(a_arr_only, np.zeros((0, n)), *args) == sweeps_arr
+        np.testing.assert_array_equal(np.array(a_list), a_arr)
+        np.testing.assert_array_equal(a_arr_only, a_arr)
 
     @pytest.mark.parametrize("name,x", list(kernel_cases()))
     def test_eig_sym_same_on_either_path(self, name, x, monkeypatch):
@@ -181,6 +187,9 @@ class TestRoundRobinKernel:
         assert 0 <= dec.sweeps <= eigen.MAX_SWEEPS
         if name.startswith(("scalar", "diagonal")):
             assert dec.sweeps == 0
+        values_only = eig_sym(x, vectors=False)
+        np.testing.assert_array_equal(values_only.eigenvalues, dec.eigenvalues)
+        assert values_only.sweeps == dec.sweeps and values_only.basis is None
 
     def test_repeat_call_same_bits(self):
         x = random_symmetric(np.random.default_rng(12), 33)
@@ -241,6 +250,43 @@ class TestRoundRobinKernel:
             for rp, rq in zip(p, q):  # disjoint within a round
                 assert len(set(rp) | set(rq)) == big
             assert len(set(zip(p.ravel(), q.ravel()))) == big * (big - 1) // 2
+
+
+KERNEL_PATHS = ("cyclic-lists", "cyclic-arrays", "round-robin")
+
+
+@pytest.fixture(params=KERNEL_PATHS)
+def kernel_path(request, monkeypatch):
+    """Send every dimension to one kernel, in one input form, without numba."""
+    monkeypatch.setattr(eigen, "JITTED", request.param == "cyclic-arrays")
+    monkeypatch.setattr(eigen, "_jacobi_kernel", plain_kernel())
+    monkeypatch.setattr(eigen, "ROUND_ROBIN_MIN_DIM",
+                        1 if request.param == "round-robin" else eigen.MAX_DIM + 1)
+    return request.param
+
+
+class TestEigenvaluesOnly:
+    """``vectors=False`` skips the eigenvector basis and nothing else: the
+    eigenvalues and the sweep count keep the full solve's bits on each kernel."""
+
+    @pytest.mark.parametrize("n", (1, 2, 14, 15, 16, 17, 32))
+    def test_same_bits_as_full_solve(self, kernel_path, n):
+        x = random_symmetric(np.random.default_rng(100 + n), n)
+        full, values_only = eig_sym(x), eig_sym(x, vectors=False)
+        assert full.basis.shape == (n, n) and values_only.basis is None
+        np.testing.assert_array_equal(values_only.eigenvalues, full.eigenvalues)
+        assert values_only.sweeps == full.sweeps
+        assert full.sweeps >= (1 if n > 1 else 0)
+
+    def test_zero_matrix(self, kernel_path):
+        dec = eig_sym(np.zeros((3, 3)), vectors=False)
+        np.testing.assert_array_equal(dec.eigenvalues, np.zeros(3))
+        assert dec.basis is None and dec.sweeps == 0
+
+    def test_unconverged_sweeps_are_numerical_failure(self, kernel_path, monkeypatch):
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(random_symmetric(np.random.default_rng(17), 16), vectors=False)
 
 
 def test_sweeps_recorded():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from meancert import eigen, means, sandwich
 from meancert import scalars as sc
 from meancert.eigen import SymPDMatrix, loewner_geq_zero, mat_fpow
 from meancert.errors import DomainError, InputError
 from meancert.means import op_harm, op_nabla, op_sharp
-from meancert.sandwich import sandwich_of
+from meancert.sandwich import relative_spectrum, sandwich_of
 
 from test_eigen import random_pd
 
@@ -18,6 +19,30 @@ from test_eigen import random_pd
 def test_dim_mismatch_is_input_error(call):
     with pytest.raises(InputError, match=r"^dimension mismatch: 2 vs 3$"):
         call(SymPDMatrix(np.eye(2)), SymPDMatrix(np.eye(3)))
+
+
+@pytest.mark.parametrize("call,wants", [
+    (lambda a, b: loewner_geq_zero(a.mat - b.mat), [False]),
+    (lambda a, b: sandwich_of(a, b), [False]),
+    (lambda a, b: relative_spectrum(a, b), [True]),
+    (lambda a, b: op_sharp(a, b, 0.5), [True, True]),  # relative spectrum, then the mean
+    (lambda a, b: op_harm(a, b, 0.5), [True]),
+    (lambda a, b: SymPDMatrix(a.mat), [True]),
+], ids=["loewner_geq_zero", "sandwich_of", "relative_spectrum", "op_sharp", "op_harm",
+        "SymPDMatrix"])
+def test_only_loewner_checks_and_sandwich_ends_skip_eigenvectors(call, wants, monkeypatch):
+    rng = np.random.default_rng(9)
+    a, b = random_pd(rng, 4), random_pd(rng, 4)
+    real, asked = eigen.eig_sym, []
+
+    def spy(x, vectors=True):
+        asked.append(vectors)
+        return real(x, vectors=vectors)
+
+    for mod in (eigen, means, sandwich):  # every binding of eig_sym
+        monkeypatch.setattr(mod, "eig_sym", spy)
+    call(a, b)
+    assert asked == wants
 
 
 class TestOpNabla:
