@@ -22,6 +22,7 @@ from .sandwich import (
 )
 from .scalars import (
     dragomir_constant,
+    dragomir_refinement_constant,
     f_v,
     g_v,
     kantorovich,

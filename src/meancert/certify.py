@@ -343,9 +343,11 @@ def compare_constants(h: float, v: float) -> dict:
     zuo = scalars.zuo_constant(h, v)
     spc = scalars.specht_constant(h, v)
     drg = scalars.dragomir_constant(h, v)
-    if drg < zuo:
+    # which refinement is sharper: Dragomir's exponential one or Zuo's K(h,2)^r
+    drg_ref = scalars.dragomir_refinement_constant(h, v)
+    if drg_ref < zuo:
         drg_vs_zuo = "lt"
-    elif drg > zuo:
+    elif drg_ref > zuo:
         drg_vs_zuo = "gt"
     else:
         drg_vs_zuo = "eq"

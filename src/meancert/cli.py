@@ -52,7 +52,7 @@ def load_matrix(path: str) -> SymPDMatrix:
         raise InputError(f"{path}: expected an object with 'dim' and 'data'")
     dim = obj["dim"]
     data = obj["data"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError(f"{path}: 'dim' must be a positive integer")
     try:
         arr = np.asarray(data, dtype=float)
@@ -60,6 +60,9 @@ def load_matrix(path: str) -> SymPDMatrix:
         raise InputError(f"{path}: 'data' is not a numeric matrix: {exc}") from exc
     if arr.shape != (dim, dim):
         raise InputError(f"{path}: 'data' shape {arr.shape} does not match dim {dim}")
+    # numpy would also parse strings, booleans and null (as NaN) into floats
+    if any(type(x) not in (int, float) for row in data for x in row):
+        raise InputError(f"{path}: 'data' entries must be JSON numbers")
     try:
         return SymPDMatrix(arr)
     except (InputError, DomainError) as exc:

@@ -5,11 +5,10 @@ machine precision for the desk-scale dimensions this package targets
 (n <= 512), with no dependence on LAPACK.  Everything downstream
 (fractional powers, congruences, Loewner-order checks) goes through it.
 
-There are two kernels with one convergence contract.  The cyclic kernel
-rotates one pair at a time; numba compiles it, and without numba it runs as
-plain Python on nested lists.  Without numba, matrices of dimension
-``ROUND_ROBIN_MIN_DIM`` and up go to the round-robin kernel instead, which
-applies n/2 disjoint rotations at once through numpy.
+There are two kernels with one convergence contract, and the dimension
+picks one.  Below ``ROUND_ROBIN_MIN_DIM`` the cyclic kernel rotates one pair
+at a time as plain Python on nested lists; from there up the round-robin
+kernel applies n/2 disjoint rotations at once through numpy.
 """
 
 from __future__ import annotations
@@ -27,31 +26,20 @@ OFF_DIAG_REL_TOL = 1e-14
 SYMMETRY_REL_TOL = 1e-12
 PD_REL_MARGIN = 1e-12
 DEFAULT_LOEWNER_TOL = 1e-9
-# Smallest dimension the round-robin kernel takes without numba; below it
-# the plain-Python cyclic kernel is faster (eig_sym timings, CHANGES.md).
+# Smallest dimension the round-robin kernel takes; below it the
+# plain-Python cyclic kernel is faster (eig_sym timings, CHANGES.md).
 ROUND_ROBIN_MIN_DIM = 15
 
-try:
-    from numba import njit
-    JITTED = True
-except ImportError:  # the kernel then runs as plain Python on nested lists
-    JITTED = False
 
-    def njit(**kwargs):
-        return lambda f: f
-
-
-@njit(cache=True)
 def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
     """Cyclic Jacobi with threshold; diagonalizes ``a`` in place.
 
-    ``a`` is an n x n float array or a list of n float lists, and ``vec``
-    the same form with n rows, or with none when only eigenvalues are
-    wanted; the updates of ``a`` never read ``vec``.  Both forms run the
-    same floating-point operations in the same order, so their results
-    agree bit for bit.  Rows are indexed one at a time (``a[i][j]``), which
-    numba compiles to views and plain Python runs on list rows without
-    boxing numpy scalars.
+    ``a`` is a list of n rows, each a list of n floats, and ``vec`` a list
+    of rows to rotate along with it: the n rows of the identity for
+    eigenvectors, or ``[]`` for eigenvalues only.  The updates of ``a``
+    never read ``vec``, so the eigenvalues keep their bits either way.
+    Lists are indexed row by row (``a[i][j]``), which plain Python runs
+    without boxing numpy scalars.
 
     Returns the number of sweeps used, or -1 if the off-diagonal mass did
     not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps (NaN
@@ -219,9 +207,8 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     With ``vectors=False`` no eigenvector basis is built and ``basis`` is
     None; the eigenvalues and sweep count keep the same bits.
 
-    Without numba, dimensions from ``ROUND_ROBIN_MIN_DIM`` up use the
-    round-robin kernel and smaller ones the cyclic kernel; with numba every
-    dimension uses the compiled cyclic kernel.  Raises NumericalError if the
+    Dimensions from ``ROUND_ROBIN_MIN_DIM`` up use the round-robin kernel
+    and smaller ones the cyclic kernel.  Raises NumericalError if the
     matrix norm overflows or the sweeps fail to converge (cap of 100 sweeps;
     convergence is off-diagonal Frobenius mass below 1e-14 times the matrix
     norm).
@@ -236,9 +223,7 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
         return SpectralDecomposition(np.zeros(n), np.eye(n) if vectors else None)
     a = 0.5 * (arr + arr.T)
     vec = np.eye(n) if vectors else np.zeros((0, n))
-    if JITTED:
-        sweeps = _jacobi_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
-    elif n >= ROUND_ROBIN_MIN_DIM:
+    if n >= ROUND_ROBIN_MIN_DIM:
         sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
     else:
         a_rows, vec_rows = a.tolist(), vec.tolist()

@@ -112,6 +112,16 @@ def dragomir_constant(h: float, v: float) -> float:
         return math.inf
 
 
+def dragomir_refinement_constant(h: float, v: float) -> float:
+    """exp(v(1-v)(1-1/h)^2 / 2), the exponential refinement constant: the
+    reverse constant at 1/h.
+
+    S. S. Dragomir, "A note on Young's inequality", RACSAM 111 (2017) 349-354.
+    """
+    _require_positive("h", h)
+    return dragomir_constant(1.0 / h, v)
+
+
 def tominaga_additive(h: float) -> float:
     """L(1,h) log S(h), the classical additive reverse constant."""
     _require_positive("h", h)

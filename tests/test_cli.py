@@ -79,6 +79,21 @@ class TestMatrixFiles:
         with pytest.raises(cli.InputError):
             load_matrix(str(p))
 
+    @pytest.mark.parametrize("obj", [
+        {"dim": True, "data": [[2.0]]},
+        {"dim": 2, "data": [["2", "1"], [True, "2e0"]]},
+        {"dim": 1, "data": [["2"]]},
+        {"dim": 1, "data": [[True]]},
+    ], ids=["boolean-dim", "strings-and-boolean", "string", "boolean"])
+    def test_non_numbers_rejected(self, tmp_path, obj, capsys):
+        p = tmp_path / "nonnumeric.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(cli.InputError, match="nonnumeric.json"):
+            load_matrix(str(p))
+        assert main(["check", "--matrix-a", str(p), "--matrix-b", str(p),
+                     "--v", "0.5"]) == EXIT_INPUT
+        assert "nonnumeric.json" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_same_matrix_passes_with_zero_residuals(self, tmp_path, capsys):

@@ -90,58 +90,12 @@ class TestEigSym:
 
 def kernel_cases():
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 4, 8, 16):
+    for n in (1, 2, 3, 4, 8, 12):
         yield f"random-{n}", random_symmetric(rng, n)
     yield "diagonal-5", np.diag([4.0, -1.0, 2.5, 0.0, 7.0])
     q, r = np.linalg.qr(rng.standard_normal((6, 6)))
     q = q * np.sign(np.diag(r))
     yield "repeated-6", (q * [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ q.T
-
-
-def plain_kernel():
-    """The kernel's Python source, also when numba has compiled it."""
-    return getattr(eigen._jacobi_kernel, "py_func", eigen._jacobi_kernel)
-
-
-class TestJacobiKernelInputForms:
-    """The kernel source runs on ndarrays (numba) and on nested lists (plain
-    Python); both forms must give the same bits."""
-
-    @pytest.mark.parametrize("name,x", list(kernel_cases()))
-    def test_list_and_ndarray_bit_identical(self, name, x):
-        kernel = plain_kernel()
-        n = x.shape[0]
-        norm = float(np.sqrt(np.sum(np.square(x))))
-        a_arr, vec_arr = 0.5 * (x + x.T), np.eye(n)
-        a_list, vec_list = a_arr.tolist(), vec_arr.tolist()
-        args = (eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL, norm)
-        sweeps_arr = kernel(a_arr, vec_arr, *args)
-        sweeps_list = kernel(a_list, vec_list, *args)
-        assert sweeps_arr == sweeps_list
-        if name.startswith("diagonal") or n == 1:
-            assert sweeps_arr == 0
-        else:
-            assert sweeps_arr >= 1
-        np.testing.assert_array_equal(np.array(a_list), a_arr)
-        np.testing.assert_array_equal(np.array(vec_list), vec_arr)
-        # no eigenvector rows: the matrix updates, so the eigenvalues, keep their bits
-        a_list, a_arr_only = (0.5 * (x + x.T)).tolist(), 0.5 * (x + x.T)
-        assert kernel(a_list, [], *args) == sweeps_list
-        assert kernel(a_arr_only, np.zeros((0, n)), *args) == sweeps_arr
-        np.testing.assert_array_equal(np.array(a_list), a_arr)
-        np.testing.assert_array_equal(a_arr_only, a_arr)
-
-    @pytest.mark.parametrize("name,x", list(kernel_cases()))
-    def test_eig_sym_same_on_either_path(self, name, x, monkeypatch):
-        # keep every n on the cyclic kernel, which the round-robin one would take over
-        monkeypatch.setattr(eigen, "ROUND_ROBIN_MIN_DIM", eigen.MAX_DIM + 1)
-        monkeypatch.setattr(eigen, "_jacobi_kernel", plain_kernel())
-        monkeypatch.setattr(eigen, "JITTED", False)
-        via_lists = eig_sym(x)
-        monkeypatch.setattr(eigen, "JITTED", True)
-        via_arrays = eig_sym(x)
-        np.testing.assert_array_equal(via_lists.eigenvalues, via_arrays.eigenvalues)
-        np.testing.assert_array_equal(via_lists.basis, via_arrays.basis)
 
 
 def round_robin_cases():
@@ -164,16 +118,31 @@ def round_robin_cases():
         yield f"near-diagonal-{n}", np.diag(np.arange(1.0, n + 1.0)) + 1e-13 * x
 
 
-class TestRoundRobinKernel:
-    """Without numba, eig_sym hands n >= ROUND_ROBIN_MIN_DIM to the round-robin
-    kernel; it must match LAPACK to 1e-13 relative."""
+KERNEL_PATHS = ("cyclic-lists", "round-robin")
+# the plain-Python cyclic kernel is checked up to this dimension, the round-robin one on all cases
+CYCLIC_TEST_MAX_DIM = 17
 
-    @pytest.fixture(autouse=True)
-    def no_numba(self, monkeypatch):
-        monkeypatch.setattr(eigen, "JITTED", False)
 
-    @pytest.mark.parametrize("name,x", list(round_robin_cases()))
-    def test_matches_lapack(self, name, x):
+@pytest.fixture(params=KERNEL_PATHS)
+def kernel_path(request, monkeypatch):
+    """Send every dimension to one kernel."""
+    monkeypatch.setattr(eigen, "ROUND_ROBIN_MIN_DIM",
+                        1 if request.param == "round-robin" else eigen.MAX_DIM + 1)
+    return request.param
+
+
+class TestKernelsMatchLapack:
+    """Each kernel, given every dimension it is tested on, must match LAPACK
+    to 1e-13 relative, and give the same eigenvalue bits without vectors."""
+
+    @pytest.mark.parametrize(
+        "kernel_path,name,x",
+        [pytest.param(kernel, name, x, id=f"{kernel}-{name}")
+         for kernel in KERNEL_PATHS
+         for name, x in [*kernel_cases(), *round_robin_cases()]
+         if kernel == "round-robin" or len(x) <= CYCLIC_TEST_MAX_DIM],
+        indirect=["kernel_path"])
+    def test_matches_lapack(self, kernel_path, name, x):
         n = len(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -184,12 +153,17 @@ class TestRoundRobinKernel:
         assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-13 * scale
         assert np.linalg.norm(dec.basis.T @ dec.basis - np.eye(n), 2) <= 1e-13
         assert np.linalg.norm(dec.apply(dec.eigenvalues) - x, 2) <= 1e-13 * scale
-        assert 0 <= dec.sweeps <= eigen.MAX_SWEEPS
-        if name.startswith(("scalar", "diagonal")):
+        if name.startswith(("scalar", "diagonal")) or n == 1:
             assert dec.sweeps == 0
+        else:
+            assert 1 <= dec.sweeps <= eigen.MAX_SWEEPS
         values_only = eig_sym(x, vectors=False)
         np.testing.assert_array_equal(values_only.eigenvalues, dec.eigenvalues)
         assert values_only.sweeps == dec.sweeps and values_only.basis is None
+
+
+class TestRoundRobinKernel:
+    """eig_sym hands n >= ROUND_ROBIN_MIN_DIM to the round-robin kernel."""
 
     def test_repeat_call_same_bits(self):
         x = random_symmetric(np.random.default_rng(12), 33)
@@ -215,7 +189,7 @@ class TestRoundRobinKernel:
                 return kernel(*args)
             monkeypatch.setattr(eigen, name, record)
 
-        spy("_jacobi_kernel", plain_kernel())
+        spy("_jacobi_kernel", eigen._jacobi_kernel)
         spy("_round_robin_kernel", eigen._round_robin_kernel)
         rng = np.random.default_rng(14)
         for n in (2, eigen.ROUND_ROBIN_MIN_DIM - 1, eigen.ROUND_ROBIN_MIN_DIM, 40):
@@ -252,19 +226,6 @@ class TestRoundRobinKernel:
             assert len(set(zip(p.ravel(), q.ravel()))) == big * (big - 1) // 2
 
 
-KERNEL_PATHS = ("cyclic-lists", "cyclic-arrays", "round-robin")
-
-
-@pytest.fixture(params=KERNEL_PATHS)
-def kernel_path(request, monkeypatch):
-    """Send every dimension to one kernel, in one input form, without numba."""
-    monkeypatch.setattr(eigen, "JITTED", request.param == "cyclic-arrays")
-    monkeypatch.setattr(eigen, "_jacobi_kernel", plain_kernel())
-    monkeypatch.setattr(eigen, "ROUND_ROBIN_MIN_DIM",
-                        1 if request.param == "round-robin" else eigen.MAX_DIM + 1)
-    return request.param
-
-
 class TestEigenvaluesOnly:
     """``vectors=False`` skips the eigenvector basis and nothing else: the
     eigenvalues and the sweep count keep the full solve's bits on each kernel."""
@@ -294,9 +255,9 @@ def test_sweeps_recorded():
     assert eig_sym(np.zeros((3, 3))).sweeps == 0
     assert eig_sym(np.diag([1.0, 2.0])).sweeps == 0
     x = random_symmetric(rng, 5)
-    n_sweeps = plain_kernel()((0.5 * (x + x.T)).tolist(), np.eye(5).tolist(),
-                              eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
-                              float(np.sqrt(np.sum(np.square(x)))))
+    n_sweeps = eigen._jacobi_kernel((0.5 * (x + x.T)).tolist(), np.eye(5).tolist(),
+                                     eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
+                                     float(np.sqrt(np.sum(np.square(x)))))
     assert eig_sym(x).sweeps == n_sweeps >= 1
     assert eigen.SpectralDecomposition(np.ones(2), np.eye(2)).sweeps == 0
 

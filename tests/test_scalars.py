@@ -175,6 +175,20 @@ class TestNamedConstants:
     def test_dragomir_saturates_instead_of_overflowing(self):
         assert sc.dragomir_constant(1e4, 0.5) == math.inf
 
+    def test_dragomir_refinement_constant(self):
+        assert sc.dragomir_refinement_constant(1, 0.5) == 1.0
+        assert sc.dragomir_refinement_constant(2, 0.0) == 1.0
+        assert sc.dragomir_refinement_constant(2, 0.5) == pytest.approx(
+            math.exp(1 / 32), rel=1e-15)
+        assert sc.dragomir_refinement_constant(1e-4, 0.5) == math.inf
+
+    def test_dragomir_refinement_lies_below_f_v(self):
+        # a refinement: 1 <= constant <= f_v(h), below the reverse constant
+        for h in np.logspace(np.log10(1 + 1e-3), 2, 50):
+            for v in np.arange(0.05, 0.951, 0.05):
+                c = sc.dragomir_refinement_constant(h, v)
+                assert 1.0 <= c <= sc.f_v(h, v) <= sc.dragomir_constant(h, v)
+
     def test_tominaga_additive(self):
         assert sc.tominaga_additive(1) == 0.0
         expected = sc.log_mean(1, 4) * math.log(sc.specht(4))
