@@ -69,8 +69,23 @@ def load_matrix(path: str) -> SymPDMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _finite_or_null(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(y) for k, y in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(y) for y in x]
+    return x
+
+
+def _json(obj) -> str:
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
+    return json.dumps(_finite_or_null(obj), indent=2, allow_nan=False)
+
+
 def emit_report(report: CertReport) -> str:
-    return json.dumps(report.to_dict(), indent=2)
+    return _json(report.to_dict())
 
 
 def csv_header() -> list[str]:
@@ -242,7 +257,7 @@ def cmd_compare(args) -> int:
         _write_out(_csv(cols, cells), args.out)
         print(json.dumps(summary))
     else:
-        _write_out(json.dumps({"rows": rows, "summary": summary}, indent=2), args.out)
+        _write_out(_json({"rows": rows, "summary": summary}), args.out)
     return EXIT_PASS
 
 

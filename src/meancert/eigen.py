@@ -68,12 +68,10 @@ def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
                 app = ap[p]
                 aqq = aq[q]
                 theta = 0.5 * (aqq - app) / apq
-                if abs(theta) > 1e12:
-                    t = 0.5 / theta
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
+                # |theta| <= 1e16 n^2 above the rotation floor, so theta^2 never overflows
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 tau = s / (1.0 + c)
@@ -126,10 +124,9 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
     applies A <- J^T A J and V <- V J; V has no rows when ``vec`` has none.
     Odd n gets a zero row and column, whose pair never reaches the rotation
     threshold.  The convergence test, the rotation threshold, the angle
-    (t = sgn(theta) / (|theta| + sqrt(theta^2 + 1)), or 0.5 / theta above
-    |theta| = 1e12), the exact update of each rotated 2 x 2 block and the
-    return value are those of ``_jacobi_kernel``; the rounding differs, at
-    about 1e-15 relative.
+    t = sgn(theta) / (|theta| + sqrt(theta^2 + 1)), the exact update of each
+    rotated 2 x 2 block and the return value are those of ``_jacobi_kernel``;
+    the rounding differs, at about 1e-15 relative.
     """
     n = len(a)
     big = n + n % 2
@@ -154,11 +151,7 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
             rotate = np.abs(apq) > rotate_floor
             # + 0.0 turns -0.0 into +0.0: a zero angle turns by +pi/4, as in the cyclic kernel
             theta = 0.5 * (aqq - app) / np.where(rotate, apq, 1.0) + 0.0
-            t = 1.0 / (theta + np.copysign(np.hypot(theta, 1.0), theta))
-            huge = np.abs(theta) > 1e12
-            if huge.any():
-                t[huge] = 0.5 / theta[huge]
-            t = np.where(rotate, t, 0.0)
+            t = np.where(rotate, 1.0 / (theta + np.copysign(np.hypot(theta, 1.0), theta)), 0.0)
             c = 1.0 / np.hypot(t, 1.0)
             s = t * c
             j = np.zeros(big * big)
@@ -244,8 +237,14 @@ class SymPDMatrix:
 
     Construction symmetrizes the input (after checking the asymmetry is
     round-off scale), eigendecomposes it eagerly, and enforces positive
-    definiteness with a relative margin.  Instances are treated as
-    immutable; nothing mutates ``mat`` or the cached decomposition.
+    definiteness: a computed spectrum must clear a relative margin, a given
+    one (``from_spectrum``) must be positive.  Given spectra are powers of a
+    checked matrix or, in ``op_harm``, reciprocals of a computed one; a
+    harmonic mean's smallest eigenvalue is at least the smaller of its
+    inputs' and its condition number at most the larger, so it clears the
+    margin whenever both inputs do (up to round-off).  Instances are
+    treated as immutable; nothing mutates ``mat`` or the cached
+    decomposition.
     """
 
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
@@ -265,7 +264,7 @@ class SymPDMatrix:
         dec = _decomp if _decomp is not None else eig_sym(self.mat)
         lam_min = float(dec.eigenvalues[0])
         lam_max = float(dec.eigenvalues[-1])
-        if lam_min <= PD_REL_MARGIN * max(1.0, lam_max):
+        if lam_min <= (0.0 if _decomp is not None else PD_REL_MARGIN * max(1.0, lam_max)):
             raise DomainError(
                 f"matrix is not positive definite: smallest eigenvalue {lam_min:.6e}"
             )

@@ -425,6 +425,11 @@ class TestGenerators:
         assert b.eigenvalues[-1] <= box.m_inner + 1e-12
         assert a.eigenvalues[0] >= box.M_inner - 1e-12
 
+    @pytest.mark.parametrize("dim", [0, 513])
+    def test_box_instance_dimension_out_of_range(self, dim):
+        with pytest.raises(InputError, match=f"dimension {dim} out of range"):
+            gen_box_instance(dim, SpectralBox(0.5, 1.0, 2.0, 4.0), A_BELOW_B, 0)
+
     def test_box_instance_unknown_order(self):
         with pytest.raises(InputError, match="unknown box order 'sideways'"):
             gen_box_instance(4, SpectralBox(0.5, 1.0, 2.0, 4.0), "sideways", 0)

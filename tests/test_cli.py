@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ GOLDEN_CSV_HEADER = (
 GOLDEN_REPORT_KEYS = ["instance", "bounds", "comparison", "findings", "overall_pass"]
 GOLDEN_INSTANCE_KEYS = ["dim", "v", "s", "t", "regime", "tight", "extended_weight",
                         "uniform_box", "spectral_box"]
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_matrix(path, data):
@@ -84,7 +92,10 @@ class TestMatrixFiles:
         {"dim": 2, "data": [["2", "1"], [True, "2e0"]]},
         {"dim": 1, "data": [["2"]]},
         {"dim": 1, "data": [[True]]},
-    ], ids=["boolean-dim", "strings-and-boolean", "string", "boolean"])
+        [[2.0]],
+        {"dim": 2, "data": [[2.0], [1.0, 2.0]]},
+    ], ids=["boolean-dim", "strings-and-boolean", "string", "boolean", "not-an-object",
+            "ragged"])
     def test_non_numbers_rejected(self, tmp_path, obj, capsys):
         p = tmp_path / "nonnumeric.json"
         p.write_text(json.dumps(obj))
@@ -234,6 +245,12 @@ class TestRandom:
     def test_invalid_regime_exit_2(self):
         assert main(["random", "--regime", "diagonal", "--count", "1"]) == EXIT_INPUT
 
+    def test_dim_one(self, capsys):
+        # a 1x1 pair has s = t, so every draw is pinned to its lower scalar
+        assert main(["random", "--regime", "straddle", "--count", "5", "--dim", "1",
+                     "--seed", "3"]) == EXIT_PASS
+        assert " count=5 failures=0 " in capsys.readouterr().out
+
 
 class TestCompare:
     def test_single_point(self, capsys):
@@ -260,6 +277,17 @@ class TestCompare:
     def test_invalid_grid_exit_2(self):
         assert main(["compare", "--h-range", "0.5", "4", "10",
                      "--v-range", "0.5", "0.5", "1"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("h_range,v_range", [
+        (("1.4e154", "1.4e154", "1"), ("0.5", "0.5", "1")),
+        (("1.000001", "1e300", "400"), ("0", "1", "11")),
+    ], ids=["kantorovich-overflow", "specht-division-by-zero"])
+    def test_h_up_to_1e300(self, capsys, h_range, v_range):
+        assert main(["compare", "--h-range", *h_range, "--v-range", *v_range]) == EXIT_PASS
+        obj = strict_json(capsys.readouterr().out)
+        for row in obj["rows"]:
+            assert all(1.0 <= row[c] < math.inf for c in ("f_v", "zuo", "specht"))
+        assert obj["summary"]["specht_le_zuo_violations"] == 0
 
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
@@ -515,3 +543,53 @@ def test_ill_conditioned_pair_is_numerical_failure(tmp_path, capsys, seed, n):
     assert captured.out == ""
     assert captured.err.startswith(
         "numerical failure: relative spectrum lost positivity: smallest eigenvalue ")
+
+
+@pytest.mark.parametrize("argv,nulls", [
+    (["check", "--matrix-a", "I", "--matrix-b", "B", "--v", "0.5"], 1),
+    (["compare", "--h-range", "1", "100", "200", "--v-range", "0.05", "0.95", "19"], 112),
+], ids=["check", "compare"])
+def test_json_output_writes_non_finite_numbers_as_null(tmp_path, capsys, argv, nulls):
+    # the dragomir reverse constant overflows to inf on this pair and on most of this grid
+    paths = {"I": write_matrix(tmp_path / "a.json", np.eye(2)),
+             "B": write_matrix(tmp_path / "b.json", np.diag([100.0, 110.0]))}
+    assert main([paths.get(x, x) for x in argv]) == EXIT_PASS
+    obj = strict_json(capsys.readouterr().out)
+    rows = obj["rows"] if "rows" in obj else [obj["comparison"]]
+    assert sum(row["dragomir"] is None for row in rows) == nulls
+
+
+@pytest.mark.parametrize("a_data,b_data,v", [
+    (np.eye(2), np.diag([1e13, 2e13]), "0.5"),
+    (np.diag([1e13, 2e13]), [[3e13, 1e12], [1e12, 2e13]], "0.5"),
+    (2e-12 * np.eye(2), np.diag([1e6, 2e6]), "0.5"),  # uniform box ratio h = 1e18
+], ids=["identity-and-1e13", "both-1e13", "box-ratio-1e18"])
+def test_large_and_widely_spread_pairs_certify(tmp_path, capsys, a_data, b_data, v):
+    argv = ["check", "--matrix-a", write_matrix(tmp_path / "a.json", a_data),
+            "--matrix-b", write_matrix(tmp_path / "b.json", b_data), "--v", v]
+    assert main(argv) == EXIT_PASS
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert strict_json(out)["overall_pass"]
+
+
+def test_scaled_down_pair_is_still_refused(tmp_path, capsys):
+    # loaded matrices keep the relative PD margin; only given spectra are exempt
+    a, b = certify.gen_instance(6, 0.3, 3.0, 4)
+    argv = ["check", "--matrix-a", write_matrix(tmp_path / "small_a.json", 1e-13 * a.mat),
+            "--matrix-b", write_matrix(tmp_path / "small_b.json", 1e-13 * b.mat), "--v", "0.3"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "small_a.json: matrix is not positive definite" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning",
+                            "ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_geometric_mean_overflow_names_the_weight(tmp_path, capsys):
+    argv = ["check", "--matrix-a", write_matrix(tmp_path / "a.json", 1e20 * np.eye(2)),
+            "--matrix-b", write_matrix(tmp_path / "b.json", 1e21 * np.eye(2)), "--v", "300"]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "numerical failure: geometric mean at weight 300.0: matrix entries must be finite")

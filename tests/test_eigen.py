@@ -80,6 +80,10 @@ class TestEigSym:
         with pytest.raises(InputError):
             eig_sym(np.eye(513))
 
+    def test_rejects_empty(self):
+        with pytest.raises(InputError, match="empty matrix"):
+            eig_sym(np.zeros((0, 0)))
+
     def test_unconverged_sweeps_are_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
         with pytest.raises(NumericalError, match="did not converge"):
@@ -314,6 +318,16 @@ class TestSymPDMatrix:
         evals = np.array([0.5, 1.0, 2.0, 4.0])
         m = SymPDMatrix.from_spectrum(evals, q)
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(m.mat)), evals, rtol=1e-12)
+
+    def test_given_spectrum_needs_only_positivity(self):
+        # the inverse of a matrix with eigenvalues >= 1e12 is below the computed-spectrum margin
+        inv = mat_fpow(SymPDMatrix(np.diag([1e13, 2e13])), -1.0)
+        np.testing.assert_allclose(inv.eigenvalues, [5e-14, 1e-13], rtol=1e-15)
+        with pytest.raises(DomainError):
+            SymPDMatrix(inv.mat)
+        for evals in ([0.0, 1.0], [-1e-300, 1.0]):
+            with pytest.raises(DomainError):
+                SymPDMatrix.from_spectrum(evals, np.eye(2))
 
 
 class TestMatFpow:

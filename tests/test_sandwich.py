@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from meancert.sandwich import (
     STRADDLE,
     SandwichInterval,
     SpectralBox,
+    UniformBox,
     box_bands,
     classify_regime,
     relative_spectrum,
@@ -118,6 +121,12 @@ class TestBoxes:
             SpectralBox(1.0, 2.0, 2.0, 6.0)  # needs m < M strictly
         with pytest.raises(DomainError):
             SpectralBox(2.0, 1.0, 3.0, 6.0)
+
+    @pytest.mark.parametrize("m,M", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                     (math.inf, math.inf)])
+    def test_uniform_box_validation(self, m, M):
+        with pytest.raises(DomainError, match="invalid uniform box"):
+            UniformBox(m, M)
 
     def test_sandwich_from_box_case_i(self):
         sw = sandwich_from_box(SpectralBox(1.0, 1.0, 4.0, 4.0), A_BELOW_B)

@@ -194,3 +194,77 @@ class TestNamedConstants:
         expected = sc.log_mean(1, 4) * math.log(sc.specht(4))
         assert sc.tominaga_additive(4) == pytest.approx(expected, rel=1e-14)
         assert sc.tominaga_additive(2) > 0
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: sc.scalar_nabla(x, 1.0, 0.5),
+    lambda x: sc.scalar_sharp(1.0, x, 0.5),
+    lambda x: sc.f_v(x, 0.5),
+    sc.kantorovich,
+    sc.specht,
+    lambda x: sc.log_mean(x, 1.0),
+    sc.tominaga_additive,
+], ids=["scalar_nabla", "scalar_sharp", "f_v", "kantorovich", "specht", "log_mean",
+        "tominaga_additive"])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_non_positive_argument(fn, x):
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        fn(x)
+
+
+# Accuracy against an mpmath reference, on 600 log-spaced points over the float
+# range, 100 on either side of 1 at distances 1e-15 .. 1e-1, and 1 itself.  At
+# t = 1e300 the textbook Specht ratio has t^(1/(t-1)) - 1 ~ 1e-297, so the
+# reference works with 360 digits to keep 60.
+RANGE_POINTS = [float(x) for x in np.concatenate([
+    np.logspace(-300, 300, 600), 1.0 + np.logspace(-15, -1, 100), 1.0 - np.logspace(-15, -1, 100),
+    [1.0]])]
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(360):
+        yield mpmath
+
+
+def _rel_err(got, ref) -> float:
+    return float(abs(got - ref) / ref) if ref else abs(got)
+
+
+class TestRangeAgainstMpmath:
+    """Specht's ratio, the Kantorovich constant and Tominaga's additive
+    constant from 1e-300 to 1e300 and near 1, each referenced by its
+    textbook definition."""
+
+    @staticmethod
+    def specht(mp, t):
+        if t == 1:
+            return mp.mpf(1)
+        u = t ** (1 / (t - 1))
+        return u / (mp.e * mp.log(u))
+
+    def test_specht(self, mp):
+        for t in RANGE_POINTS:
+            assert _rel_err(sc.specht(t), self.specht(mp, mp.mpf(t))) <= 2e-13, t
+
+    def test_kantorovich(self, mp):
+        for h in RANGE_POINTS:
+            ref = (mp.mpf(h) + 1) ** 2 / (4 * mp.mpf(h))
+            assert _rel_err(sc.kantorovich(h), ref) <= 4e-16, h
+
+    def test_tominaga_additive(self, mp):
+        # Near 1 the constant is ~(h-1)^2/8 while the float L = log h / (h-1)
+        # is ~1 and rounded, so the error grows like u/|h-1|, as does the
+        # constant's condition number 2/|h-1| in h.
+        for h in RANGE_POINTS:
+            got = sc.tominaga_additive(h)
+            assert math.isfinite(got) and got >= 0.0, h
+            if h == 1.0:
+                assert got == 0.0
+                continue
+            x = mp.mpf(h)
+            ref = (x - 1) / mp.log(x) * mp.log(self.specht(mp, x))
+            bound = max(1e-14, 16 * UNIT_ROUNDOFF / abs(h - 1.0))
+            assert _rel_err(got, ref) <= bound, h
