@@ -374,8 +374,6 @@ def comparison_of(sw: SandwichInterval, v: float) -> dict | None:
 def _random_pd(rng: np.random.Generator, evals) -> SymPDMatrix:
     """The PD matrix with spectrum ``evals`` in a random orthonormal basis."""
     n = len(evals)
-    if n == 1:
-        return SymPDMatrix.from_spectrum(evals, [[1.0 if rng.random() < 0.5 else -1.0]])
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return SymPDMatrix.from_spectrum(evals, q * np.sign(np.diag(r)))
 

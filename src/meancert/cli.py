@@ -39,30 +39,24 @@ MAX_GRID_POINTS = 10_000
 
 
 def load_matrix(path: str) -> SymPDMatrix:
-    """Parse a matrix file and build the PD matrix it describes."""
+    """Parse a matrix file and build the PD matrix it describes; every way
+    the file can be unusable is an InputError naming it."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read file: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
-        raise InputError(f"{path}: expected an object with 'dim' and 'data'")
-    dim = obj["dim"]
-    data = obj["data"]
-    if type(dim) is not int or dim < 1:
-        raise InputError(f"{path}: 'dim' must be a positive integer")
-    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
+            raise InputError("expected an object with 'dim' and 'data'")
+        dim = obj["dim"]
+        data = obj["data"]
+        if type(dim) is not int or dim < 1:
+            raise InputError("'dim' must be a positive integer")
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: 'data' is not a numeric matrix: {exc}") from exc
-    if arr.shape != (dim, dim):
-        raise InputError(f"{path}: 'data' shape {arr.shape} does not match dim {dim}")
-    # numpy would also parse strings, booleans and null (as NaN) into floats
-    if any(type(x) not in (int, float) for row in data for x in row):
-        raise InputError(f"{path}: 'data' entries must be JSON numbers")
+        if arr.shape != (dim, dim):
+            raise InputError(f"'data' shape {arr.shape} does not match dim {dim}")
+        # numpy would also parse strings, booleans and null (as NaN) into floats
+        if any(type(x) not in (int, float) for row in data for x in row):
+            raise InputError("'data' entries must be JSON numbers")
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
     try:
         return SymPDMatrix(arr)
     except (InputError, DomainError) as exc:
@@ -126,7 +120,10 @@ def reports_to_csv(reports: list[CertReport]) -> str:
 
 def _write_out(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"{out}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -175,7 +172,7 @@ def cmd_check(args) -> int:
 
 def _grid(name: str, bounds, space=np.linspace, least=-math.inf,
           most=MAX_GRID_POINTS) -> list[float]:
-    """START alone, or STEPS points from START to END placed by ``space``.
+    """STEPS points from START to END placed by ``space``; one step is START alone.
 
     The ends must be finite with least <= START <= END, and STEPS whole in [1, most].
     """
@@ -185,7 +182,7 @@ def _grid(name: str, bounds, space=np.linspace, least=-math.inf,
     if not (isinstance(steps, int) and 1 <= steps <= most
             and math.isfinite(start) and least <= start <= end < math.inf):
         raise InputError(f"invalid {name} range ({start}, {end}, {steps})")
-    return [start] if steps == 1 else list(space(start, end, steps))
+    return list(space(start, end, steps))
 
 
 def cmd_sweep(args) -> int:
@@ -215,6 +212,8 @@ def cmd_random(args) -> int:
         )
     if args.count < 0 or not 1 <= args.dim <= MAX_DIM:
         raise InputError(f"count must be >= 0 and dim in [1, {MAX_DIM}]")
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     v = args.v
     if v is None:
         v = 1.5 if args.regime == "extended" else 0.5
@@ -241,8 +240,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    hs = _grid("h", args.h_range, least=1.0,
-               space=lambda lo, hi, n: np.logspace(np.log10(lo), np.log10(hi), n))
+    hs = _grid("h", args.h_range, least=1.0, space=np.geomspace)
     vs = _grid("v", args.v_range, most=MAX_GRID_POINTS // len(hs))
     rows = [compare_constants(h, v) for h in hs for v in vs]
     summary = {
@@ -318,7 +316,7 @@ def main(argv=None) -> int:
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, OverflowError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -256,8 +256,6 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
         norm = float(np.sqrt(np.sum(np.square(arr))))
     if not np.isfinite(norm):
         raise NumericalError("matrix Frobenius norm overflowed")
-    if norm == 0.0:
-        return SpectralDecomposition(np.zeros(n), np.eye(n) if vectors else None)
     a = 0.5 * (arr + arr.T)
     vec = np.eye(n) if vectors else np.zeros((0, n))
     if n >= ROUND_ROBIN_MIN_DIM:

@@ -3,8 +3,9 @@
 All functions here are total on their stated domains and raise DomainError
 instead of returning NaN, so the certifier's reports stay unambiguous.
 The removable singularities (Specht ratio at 1, logarithmic mean on the
-diagonal) take their limits there.  Specht's ratio and the Kantorovich
-constant use forms that stay finite and accurate from 1e-300 to 1e300.
+diagonal) take their limits there.  Specht's ratio, the Kantorovich
+constant and the logarithmic mean use forms that stay finite and accurate
+from 1e-300 to 1e300.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-
-LOG_MEAN_REL_WINDOW = 1e-12
 
 
 def _require_positive(name: str, x: float):
@@ -81,12 +80,16 @@ def specht(t: float) -> float:
 
 
 def log_mean(x: float, y: float) -> float:
-    """Logarithmic mean (y-x)/(log y - log x), extended by x on the diagonal."""
+    """Logarithmic mean (y-x)/(log y - log x), extended by x on the diagonal.
+    log1p((hi-lo)/lo) is the denominator without cancellation; the logs serve
+    when that ratio overflows."""
     _require_positive("x", x)
     _require_positive("y", y)
-    if abs(x - y) < LOG_MEAN_REL_WINDOW * max(x, y):
-        return x
-    return (y - x) / (math.log(y) - math.log(x))
+    lo, hi = min(x, y), max(x, y)
+    if lo == hi:
+        return lo
+    ratio = (hi - lo) / lo
+    return (hi - lo) / (math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo))
 
 
 def zuo_constant(h: float, v: float) -> float:

@@ -94,8 +94,9 @@ class TestMatrixFiles:
         {"dim": 1, "data": [[True]]},
         [[2.0]],
         {"dim": 2, "data": [[2.0], [1.0, 2.0]]},
+        {"dim": 1, "data": [[10 ** 400]]},
     ], ids=["boolean-dim", "strings-and-boolean", "string", "boolean", "not-an-object",
-            "ragged"])
+            "ragged", "400-digit-integer"])
     def test_non_numbers_rejected(self, tmp_path, obj, capsys):
         p = tmp_path / "nonnumeric.json"
         p.write_text(json.dumps(obj))
@@ -104,6 +105,16 @@ class TestMatrixFiles:
         assert main(["check", "--matrix-a", str(p), "--matrix-b", str(p),
                      "--v", "0.5"]) == EXIT_INPUT
         assert "nonnumeric.json" in capsys.readouterr().err
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"dim": 1, "data": [[2.0]]} \u00e9'.encode("latin-1"))
+        with pytest.raises(cli.InputError, match="latin1.json"):
+            load_matrix(str(p))
+        assert main(["check", "--matrix-a", str(p), "--matrix-b", str(p),
+                     "--v", "0.5"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
 
 
 class TestCheck:
@@ -289,6 +300,12 @@ class TestCompare:
         above = sum(r["zuo"] > r["f_v"] for r in obj["rows"])
         assert obj["summary"]["zuo_le_f_violations"] == above > 1000
 
+    def test_h_grid_contains_its_ends_exactly(self, capsys):
+        assert main(["compare", "--h-range", "1.1", "3.3", "4",
+                     "--v-range", "0.5", "0.5", "1"]) == EXIT_PASS
+        hs = [row["h"] for row in json.loads(capsys.readouterr().out)["rows"]]
+        assert len(hs) == 4 and (hs[0], hs[-1]) == (1.1, 3.3)
+
     def test_invalid_grid_exit_2(self):
         assert main(["compare", "--h-range", "0.5", "4", "10",
                      "--v-range", "0.5", "0.5", "1"]) == EXIT_INPUT
@@ -413,14 +430,24 @@ PAIR = ["--matrix-a", "A", "--matrix-b", "B"]
      "error: invalid h range (1.0, 4.0, 100000000000000000000)"),
     (["compare", "--h-range", "1", "4", "101", "--v-range", "0", "1", "100"], EXIT_INPUT,
      "error: invalid v range (0.0, 1.0, 100)"),
+    (["check", *PAIR, "--v", "0.5", "--out", "MISSING"], EXIT_INPUT, "error: {MISSING}: "),
+    (["check", *PAIR, "--v", "0.5", "--out", "DIR"], EXIT_INPUT, "error: {DIR}: "),
+    (["sweep", *PAIR, "--v-range", "0", "1", "3", "--out", "MISSING"], EXIT_INPUT,
+     "error: {MISSING}: "),
+    (["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "3", "--out", "MISSING"],
+     EXIT_INPUT, "error: {MISSING}: "),
+    (["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "3", "--format", "csv",
+      "--out", "DIR"], EXIT_INPUT, "error: {DIR}: "),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_bad_value_is_one_line_not_a_traceback(tmp_path, capsys, argv, code, message):
+    # MISSING is an output path in a directory that does not exist, DIR a directory
     paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),
-             "B": write_matrix(tmp_path / "b.json", B_2x2)}
+             "B": write_matrix(tmp_path / "b.json", B_2x2),
+             "MISSING": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path)}
     assert main([paths.get(x, x) for x in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.err.startswith(message.format(**paths)) and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
 
@@ -430,6 +457,7 @@ def test_bad_value_is_one_line_not_a_traceback(tmp_path, capsys, argv, code, mes
     (["--regime", "above", "--dim", "600"], "error: count must be >= 0 and dim in [1, 512]\n"),
     (["--regime", "extended", "--v", "0.5"],
      "error: extended regime needs a weight outside [0, 1], got 0.5\n"),
+    (["--regime", "below", "--count", "1", "--seed", "-5"], "error: seed must be >= 0, got -5\n"),
 ])
 def test_random_rejects_bad_arguments(capsys, argv, message):
     assert main(["random", *argv]) == EXIT_INPUT
