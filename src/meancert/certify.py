@@ -35,6 +35,7 @@ from .means import op_harm, op_nabla, op_sharp
 from .sandwich import (
     ABOVE,
     STRADDLE,
+    PairContext,
     SandwichInterval,
     SpectralBox,
     UniformBox,
@@ -290,23 +291,22 @@ def _residual(bound: BoundStatement, nabla, sharp, harm, amat) -> np.ndarray:
 
 
 def verify(
-    a: SymPDMatrix,
-    b: SymPDMatrix,
+    pair: PairContext,
     v: float,
     bounds: list[BoundStatement],
     tol_rel: float = DEFAULT_LOEWNER_TOL,
     instance: dict | None = None,
     comparison: dict | None = None,
 ) -> CertReport:
-    """Certify every applicable bound against (A, B, v).
+    """Certify every applicable bound against the pair's (A, B) at weight v.
 
     Each bound becomes a residual matrix R whose Loewner nonnegativity is
     checked at ``tol_rel``; the smallest eigenvalue of R is reported raw and
     divided by max(1, ||R||_F), the scale the check compares it against.
     """
-    nabla = op_nabla(a, b, v)
-    sharp = op_sharp(a, b, v).mat
-    harm = (op_harm(a, b, v).mat
+    nabla = op_nabla(pair.a, pair.b, v)
+    sharp = op_sharp(pair, v).mat
+    harm = (op_harm(pair, v).mat
             if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
     results = []
     for bound in bounds:
@@ -315,7 +315,7 @@ def verify(
             continue
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                res = _residual(bound, nabla, sharp, harm, a.mat)
+                res = _residual(bound, nabla, sharp, harm, pair.a.mat)
                 scale = float(np.maximum(1.0, np.linalg.norm(res)))  # keeps a NaN norm
             if not np.isfinite(scale):
                 raise NumericalError(

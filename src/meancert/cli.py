@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from . import certify
 from .certify import CATALOG_ORDER, CertReport, catalog, compare_constants, verify
 from .eigen import DEFAULT_LOEWNER_TOL, MAX_DIM, SymPDMatrix
 from .errors import DomainError, InputError, NumericalError
-from .sandwich import sandwich_of, uniform_box_of
+from .sandwich import PairContext
 
 EXIT_PASS = 0
 EXIT_BOUND_FAILED = 1
@@ -36,6 +38,13 @@ CSV_FIXED_COLUMNS = ("v", "s", "t", "regime")
 # Most weights one sweep certifies, and most (h, v) points one compare
 # tabulates; a larger grid is an input error.
 MAX_GRID_POINTS = 10_000
+
+
+def _reason(exc: Exception) -> str:
+    """What went wrong, without the path: an OSError's ``str`` repeats it."""
+    if isinstance(exc, OSError) and exc.strerror:
+        return exc.strerror
+    return str(exc)
 
 
 def load_matrix(path: str) -> SymPDMatrix:
@@ -56,7 +65,7 @@ def load_matrix(path: str) -> SymPDMatrix:
         if any(type(x) not in (int, float) for row in data for x in row):
             raise InputError("'data' entries must be JSON numbers")
     except (OSError, ValueError, TypeError, OverflowError, RecursionError, InputError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {_reason(exc)}") from exc
     try:
         return SymPDMatrix(arr)
     except (InputError, DomainError) as exc:
@@ -118,29 +127,48 @@ def reports_to_csv(reports: list[CertReport]) -> str:
     return _csv(csv_header(), map(report_csv_row, reports))
 
 
+def _check_out(out: str | None):
+    """Refuse an output path that is a directory or lies in no directory, before
+    any work starts.  The file is written only when the work is done, so a
+    run that fails leaves none behind."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise InputError(f"{out}: {os.strerror(code)}")
+
+
 def _write_out(text: str, out: str | None):
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"{out}: {exc}") from exc
+            raise InputError(f"{out}: {_reason(exc)}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
-def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertReport:
-    """Full pipeline for one (A, B, v): sandwich, boxes, catalog, verify."""
+def certify_weight(pair: PairContext, v: float, tol: float) -> CertReport:
+    """The per-weight step: catalog and verify at v, reusing the pair's spectral work.
+
+    The arguments are checked before the context's first eigensolve.
+    """
     if not math.isfinite(v):
         raise InputError(f"weight v must be finite, got {v}")
     if not 0.0 <= tol < math.inf:
         raise InputError(f"tolerance must be finite and >= 0, got {tol}")
-    sw = sandwich_of(a, b)
-    ubox = uniform_box_of(a, b)
+    sw = pair.sandwich
+    ubox = pair.uniform_box
     bounds = catalog(sw, v, uniform_box=ubox)
     instance = {
-        "dim": a.dim,
+        "dim": pair.a.dim,
         "v": v,
         "s": sw.s,
         "t": sw.t,
@@ -151,8 +179,13 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
                         "degenerate": ubox.degenerate},
         "spectral_box": None,
     }
-    return verify(a, b, v, bounds, tol, instance=instance,
+    return verify(pair, v, bounds, tol, instance=instance,
                   comparison=certify.comparison_of(sw, v))
+
+
+def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertReport:
+    """Full pipeline for one (A, B, v): a fresh pair context, then one weight."""
+    return certify_weight(PairContext(a, b), v, tol)
 
 
 def _load_pair(args) -> tuple[SymPDMatrix, SymPDMatrix]:
@@ -164,6 +197,7 @@ def _exit_code(reports: list[CertReport]) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_out(args.out)
     a, b = _load_pair(args)
     report = certify_pair(a, b, args.v, args.tol)
     _write_out(emit_report(report), args.out)
@@ -186,8 +220,9 @@ def _grid(name: str, bounds, space=np.linspace, least=-math.inf,
 
 
 def cmd_sweep(args) -> int:
-    a, b = _load_pair(args)
-    reports = [certify_pair(a, b, v, args.tol) for v in _grid("v", args.v_range)]
+    _check_out(args.out)
+    pair = PairContext(*_load_pair(args))
+    reports = [certify_weight(pair, v, args.tol) for v in _grid("v", args.v_range)]
     _write_out(reports_to_csv(reports), args.out)
     return _exit_code(reports)
 
@@ -240,6 +275,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_out(args.out)
     hs = _grid("h", args.h_range, least=1.0, space=np.geomspace)
     vs = _grid("v", args.v_range, most=MAX_GRID_POINTS // len(hs))
     rows = [compare_constants(h, v) for h in hs for v in vs]

@@ -24,6 +24,7 @@ from meancert.sandwich import (
     BELOW,
     B_BELOW_A,
     STRADDLE,
+    PairContext,
     SandwichInterval,
     SpectralBox,
     UniformBox,
@@ -206,7 +207,7 @@ class TestVerify:
         b = SymPDMatrix(np.eye(3))
         sw = sandwich_of(a, b)
         assert sw.regime == "below"
-        report = verify(a, b, 0.5, catalog(sw, 0.5))
+        report = verify(PairContext(a, b), 0.5, catalog(sw, 0.5))
         res = {r.statement.name: r for r in report.results}
         assert report.overall_pass
         # B = (1/4)A exactly, so the sharp lower bound is an equality
@@ -217,7 +218,7 @@ class TestVerify:
         x = rng.standard_normal((4, 4))
         a = SymPDMatrix(x @ x.T + 4 * np.eye(4))
         for v in (0.0, 0.3, 1.0):
-            report = verify(a, a, v, catalog(sandwich_of(a, a), v))
+            report = verify(PairContext(a, a), v, catalog(sandwich_of(a, a), v))
             assert report.overall_pass
             for r in report.results:
                 if r.verdict is not None:
@@ -227,7 +228,8 @@ class TestVerify:
         for i in range(10):
             a, b = gen_instance(4, 1.2, 5.0, 100 + i)
             sw = sandwich_of(a, b)
-            report = verify(a, b, 0.3, catalog(sw, 0.3, uniform_box=uniform_box_of(a, b)))
+            report = verify(PairContext(a, b), 0.3,
+                            catalog(sw, 0.3, uniform_box=uniform_box_of(a, b)))
             assert report.overall_pass
 
     def test_literature_violation_is_finding_not_failure(self):
@@ -235,7 +237,7 @@ class TestVerify:
         # s alone cannot cover the upper end
         a, b = gen_instance(5, 1.05, 50.0, 7)
         sw = sandwich_of(a, b)
-        report = verify(a, b, 0.5, catalog(sw, 0.5))
+        report = verify(PairContext(a, b), 0.5, catalog(sw, 0.5))
         assert report.overall_pass
         assert any("dragomir" in f for f in report.findings)
 
@@ -247,7 +249,7 @@ class TestVerify:
         tampered = [replace(b_, constant=b_.constant * 2)
                     if b_.name == "thm1.lower" else b_
                     for b_ in catalog(sw, 0.5)]
-        report = verify(a, b, 0.5, tampered)
+        report = verify(PairContext(a, b), 0.5, tampered)
         assert not report.overall_pass
 
     @pytest.mark.parametrize("s0,t0,v,applicable", [
@@ -255,7 +257,8 @@ class TestVerify:
     def test_normalized_margin_is_min_eig_over_residual_norm(self, s0, t0, v, applicable):
         a, b = gen_instance(4, s0, t0, 3)
         a, b = SymPDMatrix(30.0 * a.mat), SymPDMatrix(30.0 * b.mat)
-        report = verify(a, b, v, catalog(sandwich_of(a, b), v, uniform_box=uniform_box_of(a, b)))
+        report = verify(PairContext(a, b), v,
+                        catalog(sandwich_of(a, b), v, uniform_box=uniform_box_of(a, b)))
         # the residuals rebuilt with LAPACK, apart from the program's means
         lam, q = np.linalg.eigh(a.mat)
         half, inv_half = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
@@ -281,7 +284,7 @@ class TestVerify:
 
     def test_pass_and_findings_are_read_from_the_verdicts(self):
         a, b = gen_instance(5, 1.05, 50.0, 7)
-        report = verify(a, b, 0.5, catalog(sandwich_of(a, b), 0.5))
+        report = verify(PairContext(a, b), 0.5, catalog(sandwich_of(a, b), 0.5))
         assert report.overall_pass and report.findings
         report = replace(report, results=tuple(
             replace(r, verdict=replace(r.verdict, holds=False))
@@ -304,21 +307,21 @@ class TestHarmonicMeanBuild:
         calls = []
         real = certify.op_harm
 
-        def counting(a, b, v):
+        def counting(pair, v):
             calls.append(v)
-            return real(a, b, v)
+            return real(pair, v)
 
         monkeypatch.setattr(certify, "op_harm", counting)
         return calls
 
     def test_full_catalog_in_unit_builds_it_once(self, calls):
         a, b = gen_instance(3, 0.4, 2.5, 1)
-        assert verify(a, b, 0.5, catalog(sandwich_of(a, b), 0.5)).overall_pass
+        assert verify(PairContext(a, b), 0.5, catalog(sandwich_of(a, b), 0.5)).overall_pass
         assert calls == [0.5]
 
     def test_extended_weight_does_not_build_it(self, calls):
         a, b = gen_instance(3, 0.4, 2.5, 1)
-        verify(a, b, 1.5, catalog(sandwich_of(a, b), 1.5))
+        verify(PairContext(a, b), 1.5, catalog(sandwich_of(a, b), 1.5))
         assert calls == []
 
     def test_not_built_when_no_harmonic_bound_applies(self, calls):
@@ -326,7 +329,7 @@ class TestHarmonicMeanBuild:
         bounds = [replace(x, applicable=False, constant=None)
                   if x.relation == HARM_VS_SHARP else x
                   for x in catalog(sandwich_of(a, b), 0.5)]
-        report = verify(a, b, 0.5, bounds)
+        report = verify(PairContext(a, b), 0.5, bounds)
         assert calls == []
         assert all(r.verdict is None for r in report.results
                    if r.statement.name.startswith("harm."))
@@ -336,7 +339,7 @@ class TestHarmonicMeanBuild:
         # applicable at v = 0.5, so applicable where its gate would say no
         harm_lower = by_name(catalog(sandwich_of(a, b), 0.5))["harm.lower"]
         with pytest.raises(DomainError, match="harmonic mean needs weight in"):
-            verify(a, b, 1.5, [harm_lower])
+            verify(PairContext(a, b), 1.5, [harm_lower])
         assert calls == [1.5]
 
 

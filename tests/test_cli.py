@@ -421,7 +421,8 @@ PAIR = ["--matrix-a", "A", "--matrix-b", "B"]
      "error: tolerance must be finite and >= 0, got -1.0"),
     (["random", "--regime", "above", "--count", "1", "--v", "nan"], EXIT_INPUT,
      "error: weight v must be finite, got nan"),
-    (["check", *PAIR, "--v", "1000"], EXIT_NUMERICAL, "numerical failure: "),
+    (["check", *PAIR, "--v", "1000"], EXIT_NUMERICAL,
+     "numerical failure: bound ext.lower: constant overflowed at weight 1000.0"),
     (["sweep", *PAIR, "--v-range", "0", "1", "1e20"], EXIT_INPUT,
      "error: invalid v range (0.0, 1.0, 100000000000000000000)"),
     (["sweep", *PAIR, "--v-range", "0", "1", "10001"], EXIT_INPUT,
@@ -430,25 +431,30 @@ PAIR = ["--matrix-a", "A", "--matrix-b", "B"]
      "error: invalid h range (1.0, 4.0, 100000000000000000000)"),
     (["compare", "--h-range", "1", "4", "101", "--v-range", "0", "1", "100"], EXIT_INPUT,
      "error: invalid v range (0.0, 1.0, 100)"),
-    (["check", *PAIR, "--v", "0.5", "--out", "MISSING"], EXIT_INPUT, "error: {MISSING}: "),
-    (["check", *PAIR, "--v", "0.5", "--out", "DIR"], EXIT_INPUT, "error: {DIR}: "),
+    (["check", *PAIR, "--v", "0.5", "--out", "MISSING"], EXIT_INPUT,
+     "error: {MISSING}: No such file or directory"),
+    (["check", *PAIR, "--v", "0.5", "--out", "DIR"], EXIT_INPUT,
+     "error: {DIR}: Is a directory"),
     (["sweep", *PAIR, "--v-range", "0", "1", "3", "--out", "MISSING"], EXIT_INPUT,
-     "error: {MISSING}: "),
+     "error: {MISSING}: No such file or directory"),
     (["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "3", "--out", "MISSING"],
-     EXIT_INPUT, "error: {MISSING}: "),
+     EXIT_INPUT, "error: {MISSING}: No such file or directory"),
     (["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "3", "--format", "csv",
-      "--out", "DIR"], EXIT_INPUT, "error: {DIR}: "),
+      "--out", "DIR"], EXIT_INPUT, "error: {DIR}: Is a directory"),
+    (["check", "--matrix-a", "NOFILE", "--matrix-b", "B", "--v", "0.5"], EXIT_INPUT,
+     "error: {NOFILE}: No such file or directory"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_bad_value_is_one_line_not_a_traceback(tmp_path, capsys, argv, code, message):
-    # MISSING is an output path in a directory that does not exist, DIR a directory
+    # MISSING is an output path in a directory that does not exist, DIR a
+    # directory, NOFILE a matrix file that does not exist
     paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),
              "B": write_matrix(tmp_path / "b.json", B_2x2),
-             "MISSING": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path)}
+             "MISSING": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path),
+             "NOFILE": str(tmp_path / "nofile.json")}
     assert main([paths.get(x, x) for x in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(message.format(**paths)) and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert captured.err == message.format(**paths) + "\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -636,3 +642,31 @@ def test_geometric_mean_overflow_names_the_weight(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "numerical failure: geometric mean at weight 300.0: matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", *PAIR, "--v", "0.5"],
+    ["sweep", *PAIR, "--v-range", "0", "1", "3"],
+    ["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "3"],
+], ids=lambda x: x[0])
+@pytest.mark.parametrize("out,reason", [
+    ("MISSING", "No such file or directory"), ("DIR", "Is a directory"),
+    ("UNDER_FILE", "Not a directory"),
+])
+def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                 out, reason):
+    # UNDER_FILE is an output path whose directory is a file
+    paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),
+             "B": write_matrix(tmp_path / "b.json", B_2x2),
+             "MISSING": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path),
+             "UNDER_FILE": str(tmp_path / "a.json" / "out")}
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_matrix", "_grid", "certify_pair", "certify_weight",
+                 "compare_constants"):
+        monkeypatch.setattr(cli, name, started)
+    assert main([paths.get(x, x) for x in [*argv, "--out", out]]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {paths[out]}: {reason}\n"
+    assert not (tmp_path / "missing").exists()

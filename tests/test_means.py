@@ -6,15 +6,15 @@ from meancert import scalars as sc
 from meancert.eigen import SymPDMatrix, loewner_geq_zero, mat_fpow
 from meancert.errors import DomainError, InputError
 from meancert.means import op_harm, op_nabla, op_sharp
-from meancert.sandwich import relative_spectrum, sandwich_of
+from meancert.sandwich import PairContext, relative_spectrum, sandwich_of
 
 from test_eigen import random_pd
 
 
 @pytest.mark.parametrize("call", [
     lambda a, b: sandwich_of(a, b),
-    lambda a, b: op_sharp(a, b, 0.5),
-    lambda a, b: op_harm(a, b, 0.5),
+    lambda a, b: op_sharp(PairContext(a, b), 0.5),
+    lambda a, b: op_harm(PairContext(a, b), 0.5),
 ], ids=["sandwich_of", "op_sharp", "op_harm"])
 def test_dim_mismatch_is_input_error(call):
     with pytest.raises(InputError, match=r"^dimension mismatch: 2 vs 3$"):
@@ -25,8 +25,9 @@ def test_dim_mismatch_is_input_error(call):
     (lambda a, b: loewner_geq_zero(a.mat - b.mat), [False]),
     (lambda a, b: sandwich_of(a, b), [False]),
     (lambda a, b: relative_spectrum(a, b), [True]),
-    (lambda a, b: op_sharp(a, b, 0.5), [True, True]),  # relative spectrum, then the mean
-    (lambda a, b: op_harm(a, b, 0.5), [True]),
+    # relative spectrum, then the mean
+    (lambda a, b: op_sharp(PairContext(a, b), 0.5), [True, True]),
+    (lambda a, b: op_harm(PairContext(a, b), 0.5), [True]),
     (lambda a, b: SymPDMatrix(a.mat), [True]),
 ], ids=["loewner_geq_zero", "sandwich_of", "relative_spectrum", "op_sharp", "op_harm",
         "SymPDMatrix"])
@@ -72,13 +73,13 @@ class TestOpSharp:
         b = random_pd(rng, 4)
         for v in (0.3, 0.5, 2.0):
             np.testing.assert_allclose(
-                op_sharp(SymPDMatrix(np.eye(4)), b, v).mat,
+                op_sharp(PairContext(SymPDMatrix(np.eye(4)), b), v).mat,
                 mat_fpow(b, v).mat, rtol=1e-10, atol=1e-10)
 
     def test_commuting_diagonal_oracle(self):
         a = SymPDMatrix(np.diag([1.0, 4.0]))
         b = SymPDMatrix(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(op_sharp(a, b, 0.5).mat, 2.0 * np.eye(2),
+        np.testing.assert_allclose(op_sharp(PairContext(a, b), 0.5).mat, 2.0 * np.eye(2),
                                    atol=1e-12)
 
     def test_commuting_random_diagonal(self):
@@ -86,21 +87,21 @@ class TestOpSharp:
         for v in (0.0, 0.25, 0.8, 1.0, 1.5, -0.5):
             da = np.exp(rng.uniform(-1, 1, 5))
             db = np.exp(rng.uniform(-1, 1, 5))
-            got = op_sharp(SymPDMatrix(np.diag(da)), SymPDMatrix(np.diag(db)), v).mat
+            got = op_sharp(PairContext(SymPDMatrix(np.diag(da)), SymPDMatrix(np.diag(db))), v).mat
             want = np.diag(da ** (1 - v) * db ** v)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_scalar_identity_pair(self):
         a = SymPDMatrix(4.0 * np.eye(3))
         b = SymPDMatrix(np.eye(3))
-        np.testing.assert_allclose(op_sharp(a, b, 0.5).mat, 2.0 * np.eye(3),
+        np.testing.assert_allclose(op_sharp(PairContext(a, b), 0.5).mat, 2.0 * np.eye(3),
                                    atol=1e-12)
 
     def test_weight_endpoints(self):
         rng = np.random.default_rng(3)
         a, b = random_pd(rng, 5), random_pd(rng, 5)
         for v, want in ((0.0, a.mat), (1.0, b.mat)):
-            got = op_sharp(a, b, v).mat
+            got = op_sharp(PairContext(a, b), v).mat
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -108,25 +109,25 @@ class TestOpHarm:
     def test_equal_matrices(self):
         rng = np.random.default_rng(4)
         a = random_pd(rng, 4)
-        got = op_harm(a, a, 0.37).mat
+        got = op_harm(PairContext(a, a), 0.37).mat
         assert np.linalg.norm(got - a.mat) <= 1e-12 * np.linalg.norm(a.mat)
 
     def test_diagonal_oracle(self):
         a = SymPDMatrix(np.diag([1.0, 4.0]))
         b = SymPDMatrix(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(op_harm(a, b, 0.5).mat, 1.6 * np.eye(2),
+        np.testing.assert_allclose(op_harm(PairContext(a, b), 0.5).mat, 1.6 * np.eye(2),
                                    rtol=1e-13)
 
     def test_zero_weight_returns_a(self):
         rng = np.random.default_rng(5)
         a, b = random_pd(rng, 3), random_pd(rng, 3)
-        got = op_harm(a, b, 0.0).mat
+        got = op_harm(PairContext(a, b), 0.0).mat
         assert np.linalg.norm(got - a.mat) <= 1e-11 * np.linalg.norm(a.mat)
 
     def test_rejects_extended_weight(self):
         a = SymPDMatrix(np.eye(2))
         with pytest.raises(DomainError):
-            op_harm(a, a, 1.5)
+            op_harm(PairContext(a, a), 1.5)
 
 
 class TestMeanChain:
@@ -137,8 +138,8 @@ class TestMeanChain:
             a, b = random_pd(rng, n), random_pd(rng, n)
             for v in np.linspace(0, 1, 11):
                 nab = op_nabla(a, b, v)
-                shp = op_sharp(a, b, v).mat
-                hrm = op_harm(a, b, v).mat
+                shp = op_sharp(PairContext(a, b), v).mat
+                hrm = op_harm(PairContext(a, b), v).mat
                 assert loewner_geq_zero(nab - shp, 1e-9).holds
                 assert loewner_geq_zero(shp - hrm, 1e-9).holds
 
@@ -148,7 +149,7 @@ class TestMeanChain:
             n = int(rng.integers(1, 9))
             a, b = random_pd(rng, n), random_pd(rng, n)
             for v in (-0.5, 1.5, 2.0):
-                diff = op_sharp(a, b, v).mat - op_nabla(a, b, v)
+                diff = op_sharp(PairContext(a, b), v).mat - op_nabla(a, b, v)
                 assert loewner_geq_zero(diff, 1e-9).holds
 
     def test_scalar_reduction_1x1(self):
@@ -159,7 +160,7 @@ class TestMeanChain:
             a, b = SymPDMatrix([[av]]), SymPDMatrix([[bv]])
             assert op_nabla(a, b, v)[0, 0] == pytest.approx(
                 sc.scalar_nabla(av, bv, v), rel=1e-14)
-            assert op_sharp(a, b, v).mat[0, 0] == pytest.approx(
+            assert op_sharp(PairContext(a, b), v).mat[0, 0] == pytest.approx(
                 sc.scalar_sharp(av, bv, v), rel=1e-14)
-            assert op_harm(a, b, v).mat[0, 0] == pytest.approx(
+            assert op_harm(PairContext(a, b), v).mat[0, 0] == pytest.approx(
                 sc.scalar_harm(av, bv, v), rel=1e-14)

@@ -1,0 +1,120 @@
+"""One pair context per sweep: the per-pair spectral work runs once, and
+every weight's report keeps the bits of a separate one-weight run."""
+
+import re
+
+import numpy as np
+import pytest
+
+from meancert import certify, cli, eigen, means, sandwich
+from meancert.cli import EXIT_NUMERICAL, EXIT_PASS, main
+from meancert.eigen import DEFAULT_LOEWNER_TOL, ROUND_ROBIN_MIN_DIM, congruence, mat_fpow
+from meancert.errors import InputError
+
+from test_cli import write_matrix
+
+# (s0, t0): the ends of the relative spectrum
+PAIRS = {"straddle": (0.5, 3.0), "one-sided": (1.5, 6.0)}
+V_RANGE = ("-0.5", "1.5", "9")  # step 0.25: 0 and 1 are grid points exactly
+
+
+def _pair_files(tmp_path, n, regime, seed=21):
+    a, b = certify.gen_instance(n, *PAIRS[regime], seed)
+    return write_matrix(tmp_path / "a.json", a.mat), write_matrix(tmp_path / "b.json", b.mat)
+
+
+def _sweep(a_path, b_path, v_range, out):
+    return main(["sweep", "--matrix-a", a_path, "--matrix-b", b_path,
+                 "--v-range", *v_range, "--out", str(out)])
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """(input bytes, vectors) of every eigensolve, through every binding of eig_sym."""
+    calls, real = [], eigen.eig_sym
+
+    def spy(x, vectors=True):
+        calls.append((np.asarray(x, dtype=float).tobytes(), vectors))
+        return real(x, vectors=vectors)
+
+    for mod in (eigen, means, sandwich):
+        monkeypatch.setattr(mod, "eig_sym", spy)
+    return calls
+
+
+@pytest.mark.parametrize("regime", list(PAIRS))
+@pytest.mark.parametrize("n", [4, 16], ids=["cyclic", "round-robin"])
+def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, regime):
+    a_path, b_path = _pair_files(tmp_path, n, regime)
+    out = tmp_path / "sweep.csv"
+    assert _sweep(a_path, b_path, V_RANGE, out) == EXIT_PASS
+    header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    weights = list(np.linspace(-0.5, 1.5, 9))
+    assert 0.0 in weights and 1.0 in weights and len(rows) == len(weights)
+    a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
+    assert (n >= ROUND_ROBIN_MIN_DIM) == (n == 16)
+    for v, row in zip(weights, rows):
+        alone = cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
+        assert cli.reports_to_csv([alone]) == header + row
+
+
+def test_sweep_through_a_failing_weight_exits_as_that_check(tmp_path, capsys):
+    # B below A: lambda^v underflows at large weights
+    a, b = certify.gen_instance(2, 0.2, 0.7, 102)
+    a_path = write_matrix(tmp_path / "a.json", a.mat)
+    b_path = write_matrix(tmp_path / "b.json", b.mat)
+    first_failure = None
+    for v in np.linspace(0.0, 1000.0, 5):
+        code = main(["check", "--matrix-a", a_path, "--matrix-b", b_path, "--v", str(v)])
+        captured = capsys.readouterr()
+        if code == EXIT_NUMERICAL:
+            first_failure = captured.err
+            break
+    assert first_failure is not None
+    out = tmp_path / "sweep.csv"
+    assert _sweep(a_path, b_path, ("0", "1000", "5"), out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == first_failure
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 5, 21])
+def test_sweep_solves_the_relative_spectrum_twice_in_all(tmp_path, eig_calls, k):
+    a_path, b_path = _pair_files(tmp_path, 4, "straddle")
+    a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
+    relative = congruence(b.mat, mat_fpow(a, -0.5).mat).tobytes()
+    weights = list(np.linspace(-0.5, 1.5, k))
+    # the solves of one separate certify_pair per weight, the loads left out
+    per_weight = []
+    for v in weights:
+        eig_calls.clear()
+        cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
+        assert [vec for x, vec in eig_calls if x == relative] == [False, True]
+        per_weight += [c for c in eig_calls if c[0] != relative]
+    eig_calls.clear()
+    assert _sweep(a_path, b_path, ("-0.5", "1.5", str(k)), tmp_path / "s.csv") == EXIT_PASS
+    loads, work = eig_calls[:2], eig_calls[2:]
+    assert loads == [(a.mat.tobytes(), True), (b.mat.tobytes(), True)]
+    assert [vec for x, vec in work if x == relative] == [False, True]
+    assert [c for c in work if c[0] != relative] == per_weight
+
+
+def test_making_a_context_solves_nothing(eig_calls):
+    a, b = certify.gen_instance(3, 0.5, 3.0, 4)
+    eig_calls.clear()
+    pair = sandwich.PairContext(a, b)
+    assert eig_calls == []
+    assert pair.relative is pair.relative
+    assert eig_calls == [(congruence(b.mat, mat_fpow(a, -0.5).mat).tobytes(), True)]
+
+
+@pytest.mark.parametrize("v,tol,message", [
+    (float("nan"), DEFAULT_LOEWNER_TOL, "weight v must be finite, got nan"),
+    (0.5, -1.0, "tolerance must be finite and >= 0, got -1.0"),
+])
+def test_argument_checks_run_before_any_eigensolve(eig_calls, v, tol, message):
+    # a dimension mismatch would be found by the first solve, so it is not reported
+    a, b = certify.gen_instance(2, 0.5, 3.0, 4)[0], certify.gen_instance(3, 0.5, 3.0, 4)[1]
+    eig_calls.clear()
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        cli.certify_pair(a, b, v, tol)
+    assert eig_calls == []
