@@ -290,6 +290,16 @@ def _residual(bound: BoundStatement, nabla, sharp, harm, amat) -> np.ndarray:
     return gap - c * ref if bound.side == LOWER else c * ref - gap
 
 
+def _loewner_check(res: np.ndarray, constant: float,
+                   tol_rel: float) -> tuple[LoewnerVerdict, float]:
+    """The Loewner verdict on a residual and the scale max(1, ||R||_F) it was judged at."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        scale = float(np.maximum(1.0, np.linalg.norm(res)))  # keeps a NaN norm
+    if not np.isfinite(scale):
+        raise NumericalError(f"{'constant' if np.isinf(constant) else 'residual'} overflowed")
+    return loewner_geq_zero(res, tol_rel), scale
+
+
 def verify(
     pair: PairContext,
     v: float,
@@ -303,24 +313,27 @@ def verify(
     Each bound becomes a residual matrix R whose Loewner nonnegativity is
     checked at ``tol_rel``; the smallest eigenvalue of R is reported raw and
     divided by max(1, ||R||_F), the scale the check compares it against.
+    Rows whose residuals have the same bytes share one check and so one
+    verdict; only checks that returned are kept, so a row that raises
+    raises in table order.
     """
     nabla = op_nabla(pair.a, pair.b, v)
-    sharp = op_sharp(pair, v).mat
+    sharp = op_sharp(pair, v)
     harm = (op_harm(pair, v).mat
             if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
+    checked: dict[bytes, tuple[LoewnerVerdict, float]] = {}
     results = []
     for bound in bounds:
         if not bound.applicable:
             results.append(BoundResult(bound, None))
             continue
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
                 res = _residual(bound, nabla, sharp, harm, pair.a.mat)
-                scale = float(np.maximum(1.0, np.linalg.norm(res)))  # keeps a NaN norm
-            if not np.isfinite(scale):
-                raise NumericalError(
-                    f"{'constant' if np.isinf(bound.constant) else 'residual'} overflowed")
-            lv: LoewnerVerdict = loewner_geq_zero(res, tol_rel)
+            key = res.tobytes()
+            if key not in checked:
+                checked[key] = _loewner_check(res, bound.constant, tol_rel)
+            lv, scale = checked[key]
         except NumericalError as exc:
             if not bound.literature:
                 raise NumericalError(f"bound {bound.name}: {exc}") from exc

@@ -130,14 +130,16 @@ def reports_to_csv(reports: list[CertReport]) -> str:
 def _check_out(out: str | None):
     """Refuse an output path that is a directory or lies in no directory, before
     any work starts.  The file is written only when the work is done, so a
-    run that fails leaves none behind."""
+    run that fails leaves none behind.  The path is read as ``open`` reads
+    it, so a trailing separator names a directory and ``a.json/.`` lies in
+    ``a.json`` (``Path`` would drop both)."""
     if not out:
         return
-    path = Path(out)
-    if path.is_dir():
+    parent = os.path.dirname(out) or os.curdir
+    if out[-1] in (os.sep, os.altsep) or os.path.isdir(out):
         code = errno.EISDIR
-    elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     else:
         return
     raise InputError(f"{out}: {os.strerror(code)}")
@@ -146,7 +148,8 @@ def _check_out(out: str | None):
 def _write_out(text: str, out: str | None):
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise InputError(f"{out}: {_reason(exc)}") from exc
     else:

@@ -31,15 +31,16 @@ DEFAULT_LOEWNER_TOL = 1e-9
 ROUND_ROBIN_MIN_DIM = 15
 
 
-def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
+def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
     """Cyclic Jacobi with threshold; diagonalizes ``a`` in place.
 
-    ``a`` is a list of n rows, each a list of n floats, and ``vec`` a list
-    of rows to rotate along with it: the n rows of the identity for
-    eigenvectors, or ``[]`` for eigenvalues only.  The updates of ``a``
-    never read ``vec``, so the eigenvalues keep their bits either way.
-    Lists are indexed row by row (``a[i][j]``), which plain Python runs
-    without boxing numpy scalars.
+    ``a`` is a list of n rows, each a list of n floats, of which only the
+    diagonal and the upper triangle are read and written; the lower triangle
+    keeps its input values.  ``w`` is a list of rows rotated along with it,
+    the rows of V^T: the n rows of the identity for eigenvectors, or ``[]``
+    for eigenvalues only.  The updates of ``a`` never read ``w``, so the
+    eigenvalues keep their bits either way.  Lists are indexed row by row
+    (``a[i][j]``), which plain Python runs without boxing numpy scalars.
 
     Returns the number of sweeps used, or -1 if the off-diagonal mass did
     not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps (NaN
@@ -78,22 +79,33 @@ def _jacobi_kernel(a, vec, max_sweeps, rel_tol, norm):
                 ap[p] = app - t * apq
                 aq[q] = aqq + t * apq
                 ap[q] = 0.0
-                aq[p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        ai = a[i]
-                        aip = ai[p]
-                        aiq = ai[q]
-                        ai[p] = aip - s * (aiq + tau * aip)
-                        ap[i] = ai[p]
-                        ai[q] = aiq + s * (aip - tau * aiq)
-                        aq[i] = ai[q]
-                for i in range(len(vec)):
-                    vi = vec[i]
-                    vip = vi[p]
-                    viq = vi[q]
-                    vi[p] = vip - s * (viq + tau * vip)
-                    vi[q] = viq + s * (vip - tau * viq)
+                # entry (i, p) sits in row min(i, p) and (i, q) in row min(i, q):
+                # column p and q above p, row p and column q between, rows p and q below
+                for i in range(p):
+                    ai = a[i]
+                    aip = ai[p]
+                    aiq = ai[q]
+                    ai[p] = aip - s * (aiq + tau * aip)
+                    ai[q] = aiq + s * (aip - tau * aiq)
+                for i in range(p + 1, q):
+                    ai = a[i]
+                    aip = ap[i]
+                    aiq = ai[q]
+                    ap[i] = aip - s * (aiq + tau * aip)
+                    ai[q] = aiq + s * (aip - tau * aiq)
+                for i in range(q + 1, n):
+                    aip = ap[i]
+                    aiq = aq[i]
+                    ap[i] = aip - s * (aiq + tau * aip)
+                    aq[i] = aiq + s * (aip - tau * aiq)
+                if w:
+                    wp = w[p]
+                    wq = w[q]
+                    for i in range(n):
+                        wpi = wp[i]
+                        wqi = wq[i]
+                        wp[i] = wpi - s * (wqi + tau * wpi)
+                        wq[i] = wqi + s * (wpi - tau * wqi)
     return -1
 
 
@@ -261,9 +273,9 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     if n >= ROUND_ROBIN_MIN_DIM:
         sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
     else:
-        a_rows, vec_rows = a.tolist(), vec.tolist()
-        sweeps = _jacobi_kernel(a_rows, vec_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
-        a, vec = np.array(a_rows), np.array(vec_rows)
+        a_rows, w_rows = a.tolist(), vec.tolist()  # the identity is its own transpose
+        sweeps = _jacobi_kernel(a_rows, w_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+        a, vec = np.array(a_rows), np.array(w_rows).T
     if sweeps < 0:
         raise NumericalError(
             f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
@@ -274,13 +286,41 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     return SpectralDecomposition(evals[order], basis, sweeps)
 
 
+def checked_pd(entries, vectors: bool = True,
+               given: SpectralDecomposition | None = None
+               ) -> tuple[np.ndarray, SpectralDecomposition]:
+    """The positive-definite rule: the symmetrized matrix and its spectrum.
+
+    Checks the asymmetry is round-off scale, symmetrizes, and solves the
+    result (for eigenvalues only with ``vectors=False``) unless ``given``
+    is its decomposition.  A computed spectrum must clear a relative
+    margin, a given one must be positive; else DomainError.
+    """
+    arr = _as_square_float(entries)
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    asym = float(np.max(np.abs(arr - arr.T)))
+    if asym > SYMMETRY_REL_TOL * scale:
+        raise InputError(
+            f"matrix is not symmetric: max asymmetry {asym:.3e} "
+            f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
+        )
+    # halve before adding so near-overflow entries survive symmetrization
+    mat = arr * 0.5 + arr.T * 0.5
+    dec = given if given is not None else eig_sym(mat, vectors=vectors)
+    lam_min = float(dec.eigenvalues[0])
+    lam_max = float(dec.eigenvalues[-1])
+    if lam_min <= (0.0 if given is not None else PD_REL_MARGIN * max(1.0, lam_max)):
+        raise DomainError(
+            f"matrix is not positive definite: smallest eigenvalue {lam_min:.6e}"
+        )
+    return mat, dec
+
+
 class SymPDMatrix:
     """Real symmetric positive-definite matrix with cached spectral data.
 
-    Construction symmetrizes the input (after checking the asymmetry is
-    round-off scale), eigendecomposes it eagerly, and enforces positive
-    definiteness: a computed spectrum must clear a relative margin, a given
-    one (``from_spectrum``) must be positive.  Given spectra are powers of a
+    Construction applies ``checked_pd`` with a full eigensolve, or to a
+    given spectrum (``from_spectrum``).  Given spectra are powers of a
     checked matrix or, in ``op_harm``, reciprocals of a computed one; a
     harmonic mean's smallest eigenvalue is at least the smaller of its
     inputs' and its condition number at most the larger, so it clears the
@@ -292,24 +332,8 @@ class SymPDMatrix:
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None):
-        arr = _as_square_float(entries)
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        asym = float(np.max(np.abs(arr - arr.T)))
-        if asym > SYMMETRY_REL_TOL * scale:
-            raise InputError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
-            )
-        # halve before adding so near-overflow entries survive symmetrization
-        self.mat = arr * 0.5 + arr.T * 0.5
-        self.dim = arr.shape[0]
-        dec = _decomp if _decomp is not None else eig_sym(self.mat)
-        lam_min = float(dec.eigenvalues[0])
-        lam_max = float(dec.eigenvalues[-1])
-        if lam_min <= (0.0 if _decomp is not None else PD_REL_MARGIN * max(1.0, lam_max)):
-            raise DomainError(
-                f"matrix is not positive definite: smallest eigenvalue {lam_min:.6e}"
-            )
+        self.mat, dec = checked_pd(entries, given=_decomp)
+        self.dim = self.mat.shape[0]
         self.eigenvalues = dec.eigenvalues
         self.eigenvectors = dec.basis
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigen import SymPDMatrix, check_same_dim, congruence, eig_sym
+from .eigen import SymPDMatrix, check_same_dim, checked_pd, congruence, eig_sym
 from .errors import DomainError, MeanCertError, NumericalError
 from .sandwich import PairContext
 
@@ -23,13 +23,13 @@ def op_nabla(a: SymPDMatrix, b: SymPDMatrix, v: float) -> np.ndarray:
     return (1.0 - v) * a.mat + v * b.mat
 
 
-def op_sharp(pair: PairContext, v: float) -> SymPDMatrix:
+def op_sharp(pair: PairContext, v: float) -> np.ndarray:
     """Weighted geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^v A^(1/2).
 
     The mean is PD for every PD pair and real weight, so a power of the
     relative spectrum that leaves the normal float range, or a computed mean
-    that fails to build as a SymPDMatrix, is a NumericalError naming the
-    weight.
+    that fails the ``SymPDMatrix`` rule (``checked_pd``, solved for
+    eigenvalues only), is a NumericalError naming the weight.
     """
     dec = pair.relative
     with np.errstate(over="ignore", under="ignore"):
@@ -39,7 +39,8 @@ def op_sharp(pair: PairContext, v: float) -> SymPDMatrix:
         raise NumericalError(
             f"geometric mean at weight {v}: relative spectrum to the power {v} {lost}")
     try:
-        return SymPDMatrix(congruence(dec.apply(powers), pair.a_half))
+        mean, _ = checked_pd(congruence(dec.apply(powers), pair.a_half), vectors=False)
+        return mean
     except MeanCertError as exc:
         raise NumericalError(f"geometric mean at weight {v}: {exc}") from exc
 

@@ -85,7 +85,7 @@ def test_criterion_1_mean_chain(warm_solver):
         a, b = random_pd(rng, n), random_pd(rng, n)
         for v in V_GRID:
             nab = op_nabla(a, b, v)
-            shp = op_sharp(PairContext(a, b), v).mat
+            shp = op_sharp(PairContext(a, b), v)
             hrm = op_harm(PairContext(a, b), v).mat
             ok &= loewner_geq_zero(nab - shp, TOL).holds
             ok &= loewner_geq_zero(shp - hrm, TOL).holds
@@ -100,7 +100,7 @@ def test_criterion_2_sharp_multiplicative_bounds(warm_solver):
         for a, b in regime_ensemble(regime, 100, seed):
             sw = sandwich_of(a, b)
             for v in V_GRID:
-                shp = op_sharp(PairContext(a, b), v).mat
+                shp = op_sharp(PairContext(a, b), v)
                 nab = op_nabla(a, b, v)
                 if regime == "below":
                     lo, hi = sc.f_v(sw.t, v), sc.f_v(sw.s, v)
@@ -115,7 +115,7 @@ def test_criterion_2_sharp_multiplicative_bounds(warm_solver):
         a = random_pd(rng, 4)
         b = SymPDMatrix(t0 * a.mat)
         for v in V_GRID:
-            shp = op_sharp(PairContext(a, b), v).mat
+            shp = op_sharp(PairContext(a, b), v)
             nab = op_nabla(a, b, v)
             residual = nab - sc.f_v(t0, v) * shp
             gap = abs(loewner_geq_zero(residual).min_eig)
@@ -137,7 +137,7 @@ def test_criterion_3_equality_witness(warm_solver):
                 const = sc.scalar_nabla(M, m, v) / sc.scalar_sharp(M, m, v)
             else:
                 const = sc.scalar_nabla(m, M, v) / sc.scalar_sharp(m, M, v)
-            residual = const * op_sharp(PairContext(a, b), v).mat - op_nabla(a, b, v)
+            residual = const * op_sharp(PairContext(a, b), v) - op_nabla(a, b, v)
             worst = max(worst, float(np.linalg.norm(residual)))
     ok &= worst <= 1e-12
     report(3, ok, f"scalar-pair equality witnesses, worst Frobenius gap {worst:.2e}")
@@ -149,7 +149,7 @@ def test_criterion_4_additive_bounds(warm_solver):
         for a, b in regime_ensemble(regime, 100, seed):
             sw = sandwich_of(a, b)
             for v in V_GRID:
-                gap = op_nabla(a, b, v) - op_sharp(PairContext(a, b), v).mat
+                gap = op_nabla(a, b, v) - op_sharp(PairContext(a, b), v)
                 hi = max(sc.g_v(sw.s, v), sc.g_v(sw.t, v))
                 ok &= loewner_geq_zero(hi * a.mat - gap, TOL).holds
                 if regime != "straddle":
@@ -209,7 +209,7 @@ def test_criterion_7_extended_weights(warm_solver):
                 rep = verify(PairContext(a, b), v, bounds, TOL)
                 ok &= rep.overall_pass
                 # reversed chain holds outright
-                diff = op_sharp(PairContext(a, b), v).mat - op_nabla(a, b, v)
+                diff = op_sharp(PairContext(a, b), v) - op_nabla(a, b, v)
                 ok &= loewner_geq_zero(diff, TOL).holds
     # general instances: the endpoint-minimum lower bound
     rng = np.random.default_rng(9)
@@ -218,7 +218,7 @@ def test_criterion_7_extended_weights(warm_solver):
         a, b = gen_instance(4, float(s0), float(t0), int(rng.integers(2 ** 63)))
         sw = sandwich_of(a, b)
         for v in (-0.5, 1.5, 2.0):
-            gap = op_nabla(a, b, v) - op_sharp(PairContext(a, b), v).mat
+            gap = op_nabla(a, b, v) - op_sharp(PairContext(a, b), v)
             lo = min(sc.g_v(sw.s, v), sc.g_v(sw.t, v))
             ok &= loewner_geq_zero(gap - lo * a.mat, TOL).holds
     report(7, ok, "extended-weight reversed chain, box bounds, endpoint minimum")
@@ -246,7 +246,7 @@ def test_criterion_9_scalar_reduction(warm_solver):
         a, b = SymPDMatrix([[av]]), SymPDMatrix([[bv]])
         pairs = [
             (op_nabla(a, b, v)[0, 0], sc.scalar_nabla(av, bv, v)),
-            (op_sharp(PairContext(a, b), v).mat[0, 0], sc.scalar_sharp(av, bv, v)),
+            (op_sharp(PairContext(a, b), v)[0, 0], sc.scalar_sharp(av, bv, v)),
             (op_harm(PairContext(a, b), v).mat[0, 0], sc.scalar_harm(av, bv, v)),
         ]
         ok &= all(abs(x - y) <= 1e-14 * max(1.0, abs(y)) for x, y in pairs)

@@ -16,6 +16,7 @@ from meancert.certify import (
     gen_instance,
     verify,
 )
+from meancert.means import op_harm, op_nabla, op_sharp
 from meancert.eigen import SymPDMatrix
 from meancert.errors import DomainError, InputError
 from meancert.sandwich import (
@@ -297,6 +298,68 @@ class TestVerify:
             for r in report.results
             if r.statement.literature and r.verdict and not r.verdict.holds)
         assert report.findings
+
+
+class TestOneCheckPerDistinctResidual:
+    """verify makes one Loewner check per distinct residual byte string, in
+    table order, and rows that share a residual share its verdict."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        checked = []
+        real = certify.loewner_geq_zero
+
+        def spy(x, tol_rel):
+            checked.append(x.tobytes())
+            return real(x, tol_rel)
+
+        monkeypatch.setattr(certify, "loewner_geq_zero", spy)
+        return checked
+
+    @staticmethod
+    def certified(a, b, v):
+        """The verdicts at v, and the applicable rows grouped by residual bytes,
+        with the residuals built apart from verify."""
+        pair = PairContext(a, b)
+        bounds = catalog(pair.sandwich, v, uniform_box=pair.uniform_box)
+        report = verify(pair, v, bounds)
+        nabla, sharp, harm = op_nabla(a, b, v), op_sharp(pair, v), op_harm(pair, v).mat
+        groups = {}
+        for x in bounds:
+            if x.applicable:
+                key = certify._residual(x, nabla, sharp, harm, a.mat).tobytes()
+                groups[key] = groups.get(key, ()) + (x.name,)
+        return {r.statement.name: r.verdict for r in report.results}, groups
+
+    @pytest.mark.parametrize("v,distinct", [(0.0, 5), (0.3, 12), (0.5, 11)])
+    def test_one_sided_pair(self, checked, v, distinct):
+        verdicts, groups = self.certified(*gen_instance(4, 1.2, 5.0, 3), v)
+        assert sum(map(len, groups.values())) == 13
+        assert [groups.get(key) for key in checked] == list(groups.values())
+        assert len(checked) == distinct
+        # the key is the bytes, not the row family: c = 1 and c = 0 meet at v = 0
+        if v == 0.0:
+            assert any({"thm1.upper", "prop2.upper"} <= set(g) for g in groups.values())
+        for group in groups.values():
+            assert all(verdicts[name] == verdicts[group[0]] for name in group)
+
+    def test_doubled_zuo_splits_its_group(self, checked, monkeypatch):
+        a, b = gen_instance(4, 1.2, 5.0, 3)
+        _, groups = self.certified(a, b, 0.5)
+        assert ("thm1.lower", "zuo") in groups.values()
+        real = certify.scalars.zuo_constant
+        monkeypatch.setattr(certify.scalars, "zuo_constant", lambda h, v: 2 * real(h, v))
+        checked.clear()
+        verdicts, groups = self.certified(a, b, 0.5)
+        assert ("thm1.lower",) in groups.values() and ("zuo",) in groups.values()
+        assert not verdicts["zuo"].holds and verdicts["thm1.lower"].holds
+        assert [groups.get(key) for key in checked] == list(groups.values())
+        assert len(checked) == 12
+
+    def test_straddle_pair_checks_every_row(self, checked):
+        _, groups = self.certified(*gen_instance(4, 0.4, 2.5, 3), 0.5)
+        assert [groups.get(key) for key in checked] == list(groups.values())
+        assert all(len(g) == 1 for g in groups.values()) and len(checked) == 7
 
 
 class TestHarmonicMeanBuild:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -651,15 +652,25 @@ def test_geometric_mean_overflow_names_the_weight(tmp_path, capsys):
 ], ids=lambda x: x[0])
 @pytest.mark.parametrize("out,reason", [
     ("MISSING", "No such file or directory"), ("DIR", "Is a directory"),
-    ("UNDER_FILE", "Not a directory"),
+    ("UNDER_FILE", "Not a directory"), ("MISSING_DIR", "Is a directory"),
+    ("FILE_AS_DIR", "Is a directory"), ("DOT_UNDER_FILE", "Not a directory"),
 ])
 def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                                  out, reason):
-    # UNDER_FILE is an output path whose directory is a file
+    # UNDER_FILE is an output path whose directory is a file; a trailing
+    # separator names a directory, whether it exists or is a file
     paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),
              "B": write_matrix(tmp_path / "b.json", B_2x2),
              "MISSING": str(tmp_path / "missing" / "out"), "DIR": str(tmp_path),
-             "UNDER_FILE": str(tmp_path / "a.json" / "out")}
+             "UNDER_FILE": str(tmp_path / "a.json" / "out"),
+             "MISSING_DIR": str(tmp_path / "missing") + os.sep,
+             "FILE_AS_DIR": str(tmp_path / "a.json") + os.sep,
+             "DOT_UNDER_FILE": str(tmp_path / "a.json") + os.sep + os.curdir}
+
+    def files():
+        return {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()}
+
+    before = files()
 
     def started(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
@@ -669,4 +680,4 @@ def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, 
         monkeypatch.setattr(cli, name, started)
     assert main([paths.get(x, x) for x in [*argv, "--out", out]]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {paths[out]}: {reason}\n"
-    assert not (tmp_path / "missing").exists()
+    assert files() == before

@@ -290,6 +290,85 @@ def test_round_robin_kernel_matches_reference_bit_for_bit(name, x):
         assert vec.tobytes() == ref_vec.tobytes()
 
 
+def reference_cyclic_kernel(a, vec, max_sweeps, rel_tol, norm):
+    """The cyclic kernel written on the full matrix: both triangles and V's columns.
+
+    Same sweep order, threshold, angle and float operations as
+    ``eigen._jacobi_kernel``, whose upper-triangle layout and rows of V^T
+    must not change a bit of the diagonal, the basis or the sweep count.
+    """
+    n = len(a)
+    rotate_floor = 0.01 * rel_tol * norm / (n * n)
+    for sweep in range(max_sweeps + 1):
+        off = 0.0
+        for i in range(n):
+            ai = a[i]
+            for j in range(i + 1, n):
+                off += 2.0 * ai[j] * ai[j]
+        off = math.sqrt(off)
+        if off <= rel_tol * norm:
+            return sweep
+        if sweep == max_sweeps:
+            break
+        for p in range(n - 1):
+            ap = a[p]
+            for q in range(p + 1, n):
+                apq = ap[q]
+                if abs(apq) <= rotate_floor:
+                    continue
+                aq = a[q]
+                app = ap[p]
+                aqq = aq[q]
+                theta = 0.5 * (aqq - app) / apq
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
+                ap[q] = 0.0
+                aq[p] = 0.0
+                for i in range(n):
+                    if i != p and i != q:
+                        ai = a[i]
+                        aip = ai[p]
+                        aiq = ai[q]
+                        ai[p] = aip - s * (aiq + tau * aip)
+                        ap[i] = ai[p]
+                        ai[q] = aiq + s * (aip - tau * aiq)
+                        aq[i] = ai[q]
+                for i in range(len(vec)):
+                    vi = vec[i]
+                    vip = vi[p]
+                    viq = vi[q]
+                    vi[p] = vip - s * (viq + tau * vip)
+                    vi[q] = viq + s * (vip - tau * viq)
+    return -1
+
+
+CYCLIC_CASES = [(name, x) for name, x in [*kernel_cases(), *round_robin_cases()]
+                if len(x) <= CYCLIC_TEST_MAX_DIM]
+
+
+@pytest.mark.parametrize("name,x", CYCLIC_CASES, ids=[name for name, _ in CYCLIC_CASES])
+def test_cyclic_kernel_matches_reference_bit_for_bit(name, x):
+    n = len(x)
+    norm = float(np.sqrt(np.sum(np.square(x))))
+    for vectors in (True, False):
+        results = []
+        for kernel in (eigen._jacobi_kernel, reference_cyclic_kernel):
+            a, vec = (0.5 * (x + x.T)).tolist(), np.eye(n).tolist() if vectors else []
+            sweeps = kernel(a, vec, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL, norm)
+            results.append((np.diag(np.array(a)), np.array(vec), sweeps))
+        (diag, w, sweeps), (ref_diag, ref_vec, ref_sweeps) = results
+        assert sweeps == ref_sweeps >= 0
+        assert diag.tobytes() == ref_diag.tobytes()
+        # the kernel rotates the rows of V^T, the reference the columns of V
+        assert w.T.tobytes() == ref_vec.tobytes()
+
+
 class TestEigenvaluesOnly:
     """``vectors=False`` skips the eigenvector basis and nothing else: the
     eigenvalues and the sweep count keep the full solve's bits on each kernel."""

@@ -25,13 +25,14 @@ def test_dim_mismatch_is_input_error(call):
     (lambda a, b: loewner_geq_zero(a.mat - b.mat), [False]),
     (lambda a, b: sandwich_of(a, b), [False]),
     (lambda a, b: relative_spectrum(a, b), [True]),
-    # relative spectrum, then the mean
-    (lambda a, b: op_sharp(PairContext(a, b), 0.5), [True, True]),
+    # relative spectrum, then the mean's PD check
+    (lambda a, b: op_sharp(PairContext(a, b), 0.5), [True, False]),
     (lambda a, b: op_harm(PairContext(a, b), 0.5), [True]),
     (lambda a, b: SymPDMatrix(a.mat), [True]),
 ], ids=["loewner_geq_zero", "sandwich_of", "relative_spectrum", "op_sharp", "op_harm",
         "SymPDMatrix"])
-def test_only_loewner_checks_and_sandwich_ends_skip_eigenvectors(call, wants, monkeypatch):
+def test_only_loewner_checks_sandwich_ends_and_mean_pd_checks_skip_eigenvectors(call, wants,
+                                                                               monkeypatch):
     rng = np.random.default_rng(9)
     a, b = random_pd(rng, 4), random_pd(rng, 4)
     real, asked = eigen.eig_sym, []
@@ -73,13 +74,13 @@ class TestOpSharp:
         b = random_pd(rng, 4)
         for v in (0.3, 0.5, 2.0):
             np.testing.assert_allclose(
-                op_sharp(PairContext(SymPDMatrix(np.eye(4)), b), v).mat,
+                op_sharp(PairContext(SymPDMatrix(np.eye(4)), b), v),
                 mat_fpow(b, v).mat, rtol=1e-10, atol=1e-10)
 
     def test_commuting_diagonal_oracle(self):
         a = SymPDMatrix(np.diag([1.0, 4.0]))
         b = SymPDMatrix(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(op_sharp(PairContext(a, b), 0.5).mat, 2.0 * np.eye(2),
+        np.testing.assert_allclose(op_sharp(PairContext(a, b), 0.5), 2.0 * np.eye(2),
                                    atol=1e-12)
 
     def test_commuting_random_diagonal(self):
@@ -87,21 +88,21 @@ class TestOpSharp:
         for v in (0.0, 0.25, 0.8, 1.0, 1.5, -0.5):
             da = np.exp(rng.uniform(-1, 1, 5))
             db = np.exp(rng.uniform(-1, 1, 5))
-            got = op_sharp(PairContext(SymPDMatrix(np.diag(da)), SymPDMatrix(np.diag(db))), v).mat
+            got = op_sharp(PairContext(SymPDMatrix(np.diag(da)), SymPDMatrix(np.diag(db))), v)
             want = np.diag(da ** (1 - v) * db ** v)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_scalar_identity_pair(self):
         a = SymPDMatrix(4.0 * np.eye(3))
         b = SymPDMatrix(np.eye(3))
-        np.testing.assert_allclose(op_sharp(PairContext(a, b), 0.5).mat, 2.0 * np.eye(3),
+        np.testing.assert_allclose(op_sharp(PairContext(a, b), 0.5), 2.0 * np.eye(3),
                                    atol=1e-12)
 
     def test_weight_endpoints(self):
         rng = np.random.default_rng(3)
         a, b = random_pd(rng, 5), random_pd(rng, 5)
         for v, want in ((0.0, a.mat), (1.0, b.mat)):
-            got = op_sharp(PairContext(a, b), v).mat
+            got = op_sharp(PairContext(a, b), v)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -138,7 +139,7 @@ class TestMeanChain:
             a, b = random_pd(rng, n), random_pd(rng, n)
             for v in np.linspace(0, 1, 11):
                 nab = op_nabla(a, b, v)
-                shp = op_sharp(PairContext(a, b), v).mat
+                shp = op_sharp(PairContext(a, b), v)
                 hrm = op_harm(PairContext(a, b), v).mat
                 assert loewner_geq_zero(nab - shp, 1e-9).holds
                 assert loewner_geq_zero(shp - hrm, 1e-9).holds
@@ -149,7 +150,7 @@ class TestMeanChain:
             n = int(rng.integers(1, 9))
             a, b = random_pd(rng, n), random_pd(rng, n)
             for v in (-0.5, 1.5, 2.0):
-                diff = op_sharp(PairContext(a, b), v).mat - op_nabla(a, b, v)
+                diff = op_sharp(PairContext(a, b), v) - op_nabla(a, b, v)
                 assert loewner_geq_zero(diff, 1e-9).holds
 
     def test_scalar_reduction_1x1(self):
@@ -160,7 +161,7 @@ class TestMeanChain:
             a, b = SymPDMatrix([[av]]), SymPDMatrix([[bv]])
             assert op_nabla(a, b, v)[0, 0] == pytest.approx(
                 sc.scalar_nabla(av, bv, v), rel=1e-14)
-            assert op_sharp(PairContext(a, b), v).mat[0, 0] == pytest.approx(
+            assert op_sharp(PairContext(a, b), v)[0, 0] == pytest.approx(
                 sc.scalar_sharp(av, bv, v), rel=1e-14)
             assert op_harm(PairContext(a, b), v).mat[0, 0] == pytest.approx(
                 sc.scalar_harm(av, bv, v), rel=1e-14)
