@@ -319,7 +319,7 @@ def verify(
     """
     nabla = op_nabla(pair.a, pair.b, v)
     sharp = op_sharp(pair, v)
-    harm = (op_harm(pair, v).mat
+    harm = (op_harm(pair, v)
             if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
     checked: dict[bytes, tuple[LoewnerVerdict, float]] = {}
     results = []

@@ -292,7 +292,7 @@ def cmd_compare(args) -> int:
         cols = list(rows[0])
         cells = ([_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows)
         _write_out(_csv(cols, cells), args.out)
-        print(json.dumps(summary))
+        print(json.dumps(summary), file=sys.stderr)
     else:
         _write_out(_json({"rows": rows, "summary": summary}), args.out)
     return EXIT_PASS

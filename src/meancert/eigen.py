@@ -286,53 +286,43 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     return SpectralDecomposition(evals[order], basis, sweeps)
 
 
-def checked_pd(entries, vectors: bool = True,
-               given: SpectralDecomposition | None = None
-               ) -> tuple[np.ndarray, SpectralDecomposition]:
-    """The positive-definite rule: the symmetrized matrix and its spectrum.
-
-    Checks the asymmetry is round-off scale, symmetrizes, and solves the
-    result (for eigenvalues only with ``vectors=False``) unless ``given``
-    is its decomposition.  A computed spectrum must clear a relative
-    margin, a given one must be positive; else DomainError.
-    """
-    arr = _as_square_float(entries)
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > SYMMETRY_REL_TOL * scale:
-        raise InputError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} "
-            f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
-        )
-    # halve before adding so near-overflow entries survive symmetrization
-    mat = arr * 0.5 + arr.T * 0.5
-    dec = given if given is not None else eig_sym(mat, vectors=vectors)
-    lam_min = float(dec.eigenvalues[0])
-    lam_max = float(dec.eigenvalues[-1])
-    if lam_min <= (0.0 if given is not None else PD_REL_MARGIN * max(1.0, lam_max)):
+def require_pd(eigenvalues: np.ndarray, margin: float) -> None:
+    """The positive-definite rule on an ascending spectrum: the smallest
+    eigenvalue must exceed ``margin * max(1, lambda_max)``, else DomainError.
+    A computed spectrum takes ``PD_REL_MARGIN``, a given one 0."""
+    lam_min = float(eigenvalues[0])
+    if lam_min <= margin * max(1.0, float(eigenvalues[-1])):
         raise DomainError(
             f"matrix is not positive definite: smallest eigenvalue {lam_min:.6e}"
         )
-    return mat, dec
 
 
 class SymPDMatrix:
     """Real symmetric positive-definite matrix with cached spectral data.
 
-    Construction applies ``checked_pd`` with a full eigensolve, or to a
-    given spectrum (``from_spectrum``).  Given spectra are powers of a
-    checked matrix or, in ``op_harm``, reciprocals of a computed one; a
-    harmonic mean's smallest eigenvalue is at least the smaller of its
-    inputs' and its condition number at most the larger, so it clears the
-    margin whenever both inputs do (up to round-off).  Instances are
-    treated as immutable; nothing mutates ``mat`` or the cached
+    Construction checks the asymmetry is round-off scale, symmetrizes, and
+    applies ``require_pd`` to a full eigensolve, or to a given spectrum
+    (``from_spectrum``).  Given spectra are powers of a checked matrix or a
+    generator's chosen spectrum, so they need only be positive.  Instances
+    are treated as immutable; nothing mutates ``mat`` or the cached
     decomposition.
     """
 
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None):
-        self.mat, dec = checked_pd(entries, given=_decomp)
+        arr = _as_square_float(entries)
+        scale = max(1.0, float(np.max(np.abs(arr))))
+        asym = float(np.max(np.abs(arr - arr.T)))
+        if asym > SYMMETRY_REL_TOL * scale:
+            raise InputError(
+                f"matrix is not symmetric: max asymmetry {asym:.3e} "
+                f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
+            )
+        # halve before adding so near-overflow entries survive symmetrization
+        self.mat = arr * 0.5 + arr.T * 0.5
+        dec, margin = (eig_sym(self.mat), PD_REL_MARGIN) if _decomp is None else (_decomp, 0.0)
+        require_pd(dec.eigenvalues, margin)
         self.dim = self.mat.shape[0]
         self.eigenvalues = dec.eigenvalues
         self.eigenvectors = dec.basis

@@ -1,18 +1,17 @@
-"""Weighted operator means on positive-definite matrices.
+"""Weighted operator means on positive-definite matrices, as ndarrays.
 
-The arithmetic and geometric means accept any real weight (the geometric
-mean stays well defined because the congruence has positive spectrum);
-the harmonic mean is restricted to weights in [0, 1], where the inverse
-combination is guaranteed PD.  The geometric and harmonic means take a
-``PairContext``, so every weight reuses the pair's relative spectrum and
-inverses; the arithmetic mean has nothing to reuse and takes the matrices.
+The arithmetic and geometric means accept any real weight, the harmonic
+mean weights in [0, 1].  The geometric and harmonic means are Kubo-Ando
+means A^(1/2) m(C) A^(1/2) of C = A^(-1/2) B A^(-1/2), so they take a
+``PairContext`` and every weight reuses its one relative spectrum; the
+arithmetic mean has nothing to reuse and takes the matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigen import SymPDMatrix, check_same_dim, checked_pd, congruence, eig_sym
+from .eigen import PD_REL_MARGIN, SymPDMatrix, check_same_dim, congruence, eig_sym, require_pd
 from .errors import DomainError, MeanCertError, NumericalError
 from .sandwich import PairContext
 
@@ -23,33 +22,42 @@ def op_nabla(a: SymPDMatrix, b: SymPDMatrix, v: float) -> np.ndarray:
     return (1.0 - v) * a.mat + v * b.mat
 
 
+def _kubo_ando(pair: PairContext, v: float, name: str, values: np.ndarray) -> np.ndarray:
+    """A^(1/2) Q diag(values) Q^T A^(1/2) over the relative spectrum's basis Q.
+
+    The mean of a PD pair is PD, so one that fails the positive-definite rule
+    (solved for eigenvalues only) is a NumericalError naming mean and weight.
+    """
+    try:
+        mean = congruence(pair.relative.apply(values), pair.a_half)
+        require_pd(eig_sym(mean, vectors=False).eigenvalues, PD_REL_MARGIN)
+        return mean
+    except MeanCertError as exc:
+        raise NumericalError(f"{name} mean at weight {v}: {exc}") from exc
+
+
 def op_sharp(pair: PairContext, v: float) -> np.ndarray:
     """Weighted geometric mean A^(1/2) (A^(-1/2) B A^(-1/2))^v A^(1/2).
 
-    The mean is PD for every PD pair and real weight, so a power of the
-    relative spectrum that leaves the normal float range, or a computed mean
-    that fails the ``SymPDMatrix`` rule (``checked_pd``, solved for
-    eigenvalues only), is a NumericalError naming the weight.
+    A power of the relative spectrum that leaves the normal float range is a
+    NumericalError naming the weight.
     """
-    dec = pair.relative
     with np.errstate(over="ignore", under="ignore"):
-        powers = np.power(dec.eigenvalues, v)
+        powers = np.power(pair.relative.eigenvalues, v)
     if not np.all((powers >= np.finfo(float).tiny) & (powers < np.inf)):
         lost = "overflowed" if np.any(powers == np.inf) else "underflowed"
         raise NumericalError(
             f"geometric mean at weight {v}: relative spectrum to the power {v} {lost}")
-    try:
-        mean, _ = checked_pd(congruence(dec.apply(powers), pair.a_half), vectors=False)
-        return mean
-    except MeanCertError as exc:
-        raise NumericalError(f"geometric mean at weight {v}: {exc}") from exc
+    return _kubo_ando(pair, v, "geometric", powers)
 
 
-def op_harm(pair: PairContext, v: float) -> SymPDMatrix:
-    """Weighted harmonic mean ((1-v)A^(-1) + vB^(-1))^(-1) for v in [0,1]."""
-    check_same_dim(pair.a, pair.b)
+def op_harm(pair: PairContext, v: float) -> np.ndarray:
+    """Weighted harmonic mean ((1-v)A^(-1) + vB^(-1))^(-1) for v in [0,1].
+
+    A relative eigenvalue l maps to l / ((1-v)l + v): exactly 1 at v = 0 and
+    l at v = 1, so the mean has the geometric mean's bits there.
+    """
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"harmonic mean needs weight in [0, 1], got {v}")
-    combined = (1.0 - v) * pair.a_inv + v * pair.b_inv
-    dec = eig_sym(combined)
-    return SymPDMatrix.from_spectrum(1.0 / dec.eigenvalues, dec.basis)
+    lam = pair.relative.eigenvalues
+    return _kubo_ando(pair, v, "harmonic", lam / ((1.0 - v) * lam + v))

@@ -131,7 +131,7 @@ class PairContext:
     computed on first use and then kept for every later weight.
 
     The parts are the sandwich, the relative spectrum with its eigenvectors,
-    A^(1/2), A^(-1), B^(-1) and the uniform box, each computed by the same
+    A^(1/2) and the uniform box, each computed by the same
     operations as for a single weight, so every weight's report has the same
     bits as a one-weight run.  The sandwich keeps its own eigenvalues-only
     solve (perfbench pins a one-weight report at 11 eigensolves), so a pair
@@ -154,14 +154,6 @@ class PairContext:
     @cached_property
     def a_half(self) -> np.ndarray:
         return mat_fpow(self.a, 0.5).mat
-
-    @cached_property
-    def a_inv(self) -> np.ndarray:
-        return mat_fpow(self.a, -1.0).mat
-
-    @cached_property
-    def b_inv(self) -> np.ndarray:
-        return mat_fpow(self.b, -1.0).mat
 
     @cached_property
     def uniform_box(self) -> UniformBox:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -331,6 +333,15 @@ class TestCompare:
                             "specht_le_zuo,zuo_le_f,dragomir_vs_zuo")
         assert len(lines) == 10
 
+    def test_csv_on_stdout_is_only_csv(self, capsys):
+        # the summary goes to stderr, so a redirected stdout is a CSV file
+        assert main(["compare", "--h-range", "1", "2", "2", "--v-range", "0", "1", "3",
+                     "--format", "csv"]) == EXIT_PASS
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert len(rows) == 1 + 2 * 3 and all(len(row) == 9 for row in rows)
+        assert json.loads(captured.err)["specht_le_zuo_violations"] == 0
+
 
 @pytest.mark.parametrize("command", [
     ["check", "--v", "0.5"],
@@ -593,6 +604,18 @@ def test_ill_conditioned_pair_is_numerical_failure(tmp_path, capsys, seed, n):
     assert captured.out == ""
     assert captured.err.startswith(
         "numerical failure: relative spectrum lost positivity: smallest eigenvalue ")
+
+
+@pytest.mark.parametrize("seed,n", [(1, 2), (1, 3), (3, 2)])
+def test_ill_conditioned_pair_harmonic_rows_hold(tmp_path, capsys, seed, n):
+    # the harmonic mean is assembled from the relative spectrum like the
+    # geometric one, so the attained harmonic-geometric bounds carry no
+    # round-off from a separate inverse route
+    a, b = _ill_conditioned_pair(tmp_path, seed, n)
+    assert main(["check", "--matrix-a", a, "--matrix-b", b, "--v", "0.5"]) == EXIT_PASS
+    rows = {r["statement"]["name"]: r["verdict"]
+            for r in json.loads(capsys.readouterr().out)["bounds"]}
+    assert rows["harm.lower"]["holds"] and rows["harm.upper"]["holds"]
 
 
 @pytest.mark.parametrize("argv,nulls", [

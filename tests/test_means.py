@@ -27,7 +27,7 @@ def test_dim_mismatch_is_input_error(call):
     (lambda a, b: relative_spectrum(a, b), [True]),
     # relative spectrum, then the mean's PD check
     (lambda a, b: op_sharp(PairContext(a, b), 0.5), [True, False]),
-    (lambda a, b: op_harm(PairContext(a, b), 0.5), [True]),
+    (lambda a, b: op_harm(PairContext(a, b), 0.5), [True, False]),
     (lambda a, b: SymPDMatrix(a.mat), [True]),
 ], ids=["loewner_geq_zero", "sandwich_of", "relative_spectrum", "op_sharp", "op_harm",
         "SymPDMatrix"])
@@ -110,20 +110,28 @@ class TestOpHarm:
     def test_equal_matrices(self):
         rng = np.random.default_rng(4)
         a = random_pd(rng, 4)
-        got = op_harm(PairContext(a, a), 0.37).mat
+        got = op_harm(PairContext(a, a), 0.37)
         assert np.linalg.norm(got - a.mat) <= 1e-12 * np.linalg.norm(a.mat)
 
     def test_diagonal_oracle(self):
         a = SymPDMatrix(np.diag([1.0, 4.0]))
         b = SymPDMatrix(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(op_harm(PairContext(a, b), 0.5).mat, 1.6 * np.eye(2),
+        np.testing.assert_allclose(op_harm(PairContext(a, b), 0.5), 1.6 * np.eye(2),
                                    rtol=1e-13)
 
     def test_zero_weight_returns_a(self):
         rng = np.random.default_rng(5)
         a, b = random_pd(rng, 3), random_pd(rng, 3)
-        got = op_harm(PairContext(a, b), 0.0).mat
+        got = op_harm(PairContext(a, b), 0.0)
         assert np.linalg.norm(got - a.mat) <= 1e-11 * np.linalg.norm(a.mat)
+
+    @pytest.mark.parametrize("n", [4, 16], ids=["cyclic", "round_robin"])
+    @pytest.mark.parametrize("v", [0.0, 1.0])
+    def test_weight_ends_have_the_geometric_means_bytes(self, n, v):
+        # l / ((1-v)l + v) is exactly 1 and l there, as l^v is
+        rng = np.random.default_rng(n)
+        pair = PairContext(random_pd(rng, n), random_pd(rng, n))
+        assert op_harm(pair, v).tobytes() == op_sharp(pair, v).tobytes()
 
     def test_rejects_extended_weight(self):
         a = SymPDMatrix(np.eye(2))
@@ -140,7 +148,7 @@ class TestMeanChain:
             for v in np.linspace(0, 1, 11):
                 nab = op_nabla(a, b, v)
                 shp = op_sharp(PairContext(a, b), v)
-                hrm = op_harm(PairContext(a, b), v).mat
+                hrm = op_harm(PairContext(a, b), v)
                 assert loewner_geq_zero(nab - shp, 1e-9).holds
                 assert loewner_geq_zero(shp - hrm, 1e-9).holds
 
@@ -163,5 +171,5 @@ class TestMeanChain:
                 sc.scalar_nabla(av, bv, v), rel=1e-14)
             assert op_sharp(PairContext(a, b), v)[0, 0] == pytest.approx(
                 sc.scalar_sharp(av, bv, v), rel=1e-14)
-            assert op_harm(PairContext(a, b), v).mat[0, 0] == pytest.approx(
+            assert op_harm(PairContext(a, b), v)[0, 0] == pytest.approx(
                 sc.scalar_harm(av, bv, v), rel=1e-14)
