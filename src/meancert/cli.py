@@ -153,9 +153,14 @@ def _write_out(text: str, out: str | None):
         except OSError as exc:
             raise InputError(f"{out}: {_reason(exc)}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            # a reader that went away: send the exit-time flush to /dev/null
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise InputError(f"stdout: {_reason(exc)}") from exc
 
 
 def certify_weight(pair: PairContext, v: float, tol: float) -> CertReport:
@@ -272,8 +277,8 @@ def cmd_random(args) -> int:
         for r in report.results:
             if r.verdict is not None and not r.statement.literature:
                 worst = min(worst, r.verdict.min_eig_normalized)
-    print(f"seed={args.seed} regime={args.regime} v={v} count={args.count} "
-          f"failures={failures} worst_residual={worst:.17g}")
+    _write_out(f"seed={args.seed} regime={args.regime} v={v} count={args.count} "
+               f"failures={failures} worst_residual={worst:.17g}", None)
     return EXIT_PASS if failures == 0 else EXIT_BOUND_FAILED
 
 

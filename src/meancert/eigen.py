@@ -7,8 +7,8 @@ machine precision for the desk-scale dimensions this package targets
 
 There are two kernels with one convergence contract, and the dimension
 picks one.  Below ``ROUND_ROBIN_MIN_DIM`` the cyclic kernel rotates one pair
-at a time as plain Python on nested lists; from there up the round-robin
-kernel applies n/2 disjoint rotations at once through numpy.
+at a time in straight-line Python compiled once per dimension; from there up
+the round-robin kernel applies n/2 disjoint rotations at once through numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +26,62 @@ OFF_DIAG_REL_TOL = 1e-14
 SYMMETRY_REL_TOL = 1e-12
 PD_REL_MARGIN = 1e-12
 DEFAULT_LOEWNER_TOL = 1e-9
-# Smallest dimension the round-robin kernel takes; below it the
-# plain-Python cyclic kernel is faster (eig_sym timings, CHANGES.md).
+# Smallest dimension the round-robin kernel takes; below it the cyclic
+# kernel runs (README: the crossover timings, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
+
+
+# Straight-line code of one cyclic sweep per dimension, compiled on its first solve
+_CYCLIC_CODE: dict = {}
+# Rotation (p, q) of the upper triangle held in locals, and of rows p and q of V^T
+_ROTATION = """\
+    if not abs({pq}) <= rotate_floor:
+        theta = 0.5 * ({qq} - {pp}) / {pq}
+        # |theta| <= 1e16 n^2 above the rotation floor, so theta^2 never overflows
+        t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+        if theta < 0.0:
+            t = -t
+        c = 1.0 / sqrt(t * t + 1.0)
+        s = t * c
+        tau = s / (1.0 + c)
+        {pp}, {qq}, {pq} = {pp} - t * {pq}, {qq} + t * {pq}, 0.0
+{updates}        if w:
+            wp, wq = w[{p}], w[{q}]
+            for i in range({n}):
+                wpi, wqi = wp[i], wq[i]
+                wp[i], wq[i] = wpi - s * (wqi + tau * wpi), wqi + s * (wpi - tau * wqi)
+"""
+_UPDATE = "        {ip}, {iq} = {ip} - s * ({iq} + tau * {ip}), {iq} + s * ({ip} - tau * {iq})\n"
+
+
+def _generate_cyclic(n):
+    """Compile dimension n's cyclic sweep as straight-line Python.
+
+    Entry (i, j), i <= j, is the local ``a{i}_{j}``, and the upper triangle
+    goes in and out as a tuple in row order.  ``off(u)`` sums 2 a_ij^2 over
+    i < j in row order; row p's function runs rotations (p, p + 1), ...,
+    (p, n - 1).  A function per row, not per sweep, bounds the compiler's
+    peak memory by one row's source.
+    """
+    def at(i, j):
+        return f"a{min(i, j)}_{max(i, j)}"
+
+    upper = "".join(f"a{i}_{j}, " for i in range(n) for j in range(i, n))
+    sums = "".join("    off = off" + "".join(f" + 2.0*a{i}_{j}*a{i}_{j}" for j in range(i + 1, n))
+                   + "\n" for i in range(n - 1))
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(f"def off(u):\n    {upper}= u\n    off = 0.0\n{sums}    return off\n",
+                 f"<cyclic jacobi n={n} off-norm>", "exec"), namespace)
+    rows = []
+    for p in range(n - 1):
+        body = "".join(_ROTATION.format(
+            p=p, q=q, n=n, pp=at(p, p), qq=at(q, q), pq=at(p, q),
+            updates="".join(_UPDATE.format(ip=at(i, p), iq=at(i, q))
+                            for i in range(n) if i not in (p, q))) for q in range(p + 1, n))
+        exec(compile(f"def row(u, w, rotate_floor):\n    {upper}= u\n{body}    return {upper}\n",
+                     f"<cyclic jacobi n={n} row {p}>", "exec"), namespace)
+        rows.append(namespace["row"])
+    return namespace["off"], tuple(rows)
 
 
 def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
@@ -39,74 +92,31 @@ def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
     keeps its input values.  ``w`` is a list of rows rotated along with it,
     the rows of V^T: the n rows of the identity for eigenvectors, or ``[]``
     for eigenvalues only.  The updates of ``a`` never read ``w``, so the
-    eigenvalues keep their bits either way.  Lists are indexed row by row
-    (``a[i][j]``), which plain Python runs without boxing numpy scalars.
+    eigenvalues keep their bits either way.  A sweep runs the code of
+    ``_generate_cyclic``: the rotations of the cyclic loop over p < q, with
+    their float operations in order, on a triangle held in locals.
 
     Returns the number of sweeps used, or -1 if the off-diagonal mass did
     not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps (NaN
     contamination also lands here, since NaN fails every comparison).
     """
     n = len(a)
+    if n not in _CYCLIC_CODE:
+        _CYCLIC_CODE[n] = _generate_cyclic(n)
+    off, rows = _CYCLIC_CODE[n]
     rotate_floor = 0.01 * rel_tol * norm / (n * n)
+    upper = [x for i, ai in enumerate(a) for x in ai[i:]]
     for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n):
-            ai = a[i]
-            for j in range(i + 1, n):
-                off += 2.0 * ai[j] * ai[j]
-        off = math.sqrt(off)
-        if off <= rel_tol * norm:
-            return sweep
-        if sweep == max_sweeps:
+        if math.sqrt(off(upper)) <= rel_tol * norm:
             break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= rotate_floor:
-                    continue
-                aq = a[q]
-                app = ap[p]
-                aqq = aq[q]
-                theta = 0.5 * (aqq - app) / apq
-                # |theta| <= 1e16 n^2 above the rotation floor, so theta^2 never overflows
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                ap[p] = app - t * apq
-                aq[q] = aqq + t * apq
-                ap[q] = 0.0
-                # entry (i, p) sits in row min(i, p) and (i, q) in row min(i, q):
-                # column p and q above p, row p and column q between, rows p and q below
-                for i in range(p):
-                    ai = a[i]
-                    aip = ai[p]
-                    aiq = ai[q]
-                    ai[p] = aip - s * (aiq + tau * aip)
-                    ai[q] = aiq + s * (aip - tau * aiq)
-                for i in range(p + 1, q):
-                    ai = a[i]
-                    aip = ap[i]
-                    aiq = ai[q]
-                    ap[i] = aip - s * (aiq + tau * aip)
-                    ai[q] = aiq + s * (aip - tau * aiq)
-                for i in range(q + 1, n):
-                    aip = ap[i]
-                    aiq = aq[i]
-                    ap[i] = aip - s * (aiq + tau * aip)
-                    aq[i] = aiq + s * (aip - tau * aiq)
-                if w:
-                    wp = w[p]
-                    wq = w[q]
-                    for i in range(n):
-                        wpi = wp[i]
-                        wqi = wq[i]
-                        wp[i] = wpi - s * (wqi + tau * wpi)
-                        wq[i] = wqi + s * (wpi - tau * wqi)
-    return -1
+        if sweep == max_sweeps:
+            sweep = -1
+            break
+        for row in rows:
+            upper = row(upper, w, rotate_floor)
+    for i, ai in enumerate(a):
+        ai[i:], upper = upper[:n - i], upper[n - i:]
+    return sweep
 
 
 def _round_robin_pairs(n):

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -704,3 +706,27 @@ def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, 
     assert main([paths.get(x, x) for x in [*argv, "--out", out]]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {paths[out]}: {reason}\n"
     assert files() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--matrix-a", "A", "--matrix-b", "B", "--v", "0.5"],
+    ["sweep", "--matrix-a", "A", "--matrix-b", "B", "--v-range", "0", "1", "3"],
+    ["random", "--regime", "above", "--count", "1"],
+], ids=lambda x: x[0])
+def test_closed_stdout_exits_2_with_one_line(tmp_path, argv):
+    # stdout is a pipe whose read end is closed, so every write to it fails
+    paths = {"A": write_matrix(tmp_path / "a.json", A_2x2),
+             "B": write_matrix(tmp_path / "b.json", B_2x2)}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "meancert.cli",
+                              *[paths.get(x, x) for x in argv]],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert out.returncode == EXIT_INPUT
+    assert out.stderr == "error: stdout: Broken pipe\n"

@@ -348,7 +348,16 @@ def reference_cyclic_kernel(a, vec, max_sweeps, rel_tol, norm):
     return -1
 
 
-CYCLIC_CASES = [(name, x) for name, x in [*kernel_cases(), *round_robin_cases()]
+def generated_dimension_cases():
+    """One random symmetric matrix for each dimension the cyclic kernel serves,
+    each of which runs its own generated code."""
+    rng = np.random.default_rng(19)
+    for n in range(1, eigen.ROUND_ROBIN_MIN_DIM):
+        yield f"own-code-{n}", random_symmetric(rng, n)
+
+
+CYCLIC_CASES = [(name, x) for name, x in [*kernel_cases(), *round_robin_cases(),
+                                          *generated_dimension_cases()]
                 if len(x) <= CYCLIC_TEST_MAX_DIM]
 
 
@@ -367,6 +376,55 @@ def test_cyclic_kernel_matches_reference_bit_for_bit(name, x):
         assert diag.tobytes() == ref_diag.tobytes()
         # the kernel rotates the rows of V^T, the reference the columns of V
         assert w.T.tobytes() == ref_vec.tobytes()
+
+
+def test_each_dimension_is_compiled_once(monkeypatch):
+    generate, generated = eigen._generate_cyclic, []
+
+    def spy(n):
+        generated.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(eigen, "_CYCLIC_CODE", {})
+    monkeypatch.setattr(eigen, "_generate_cyclic", spy)
+    x = random_symmetric(np.random.default_rng(18), 7)
+    first = eig_sym(x)
+    assert generated == [7]
+    second, values_only = eig_sym(x), eig_sym(x, vectors=False)
+    assert generated == [7]
+    assert second.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+    assert second.basis.tobytes() == first.basis.tobytes()
+    assert values_only.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+
+
+_RSS_OF_FIRST_SOLVES = """
+import resource, numpy as np
+from meancert.eigen import eig_sym
+x = np.random.default_rng(14).standard_normal((14, 14))
+eig_sym(x[:2, :2] + x[:2, :2].T)  # numpy's first-use work, before the baseline
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+eig_sym(x + x.T, vectors=False)
+eig_sym(x + x.T)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+# ru_maxrss survives exec, so an interpreter started by this large test process
+# would begin at its peak and show no growth; a small launcher in between does not
+_LAUNCH = ("import subprocess, sys; "
+           "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_first_solves_at_n14_raise_peak_rss_by_under_4mb():
+    # one function per pivot row compiles a row's source at a time: about
+    # 2 MB here, where one function for the whole sweep took about 17 MB;
+    # the compile always adds some, so 0 would mean a masked baseline
+    src = os.path.dirname(os.path.dirname(eigen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, _RSS_OF_FIRST_SOLVES], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert 0 < int(out.stdout) < 4 * 1024
 
 
 class TestEigenvaluesOnly:
