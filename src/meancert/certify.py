@@ -293,8 +293,8 @@ def _residual(bound: BoundStatement, nabla, sharp, harm, amat) -> np.ndarray:
 def _loewner_check(res: np.ndarray, constant: float,
                    tol_rel: float) -> tuple[LoewnerVerdict, float]:
     """The Loewner verdict on a residual and the scale max(1, ||R||_F) it was judged at."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        scale = float(np.maximum(1.0, np.linalg.norm(res)))  # keeps a NaN norm
+    # verify ignores overflow and invalid values here: a NaN norm is kept, and reported
+    scale = float(np.maximum(1.0, np.linalg.norm(res)))
     if not np.isfinite(scale):
         raise NumericalError(f"{'constant' if np.isinf(constant) else 'residual'} overflowed")
     return loewner_geq_zero(res, tol_rel), scale
@@ -313,9 +313,9 @@ def verify(
     Each bound becomes a residual matrix R whose Loewner nonnegativity is
     checked at ``tol_rel``; the smallest eigenvalue of R is reported raw and
     divided by max(1, ||R||_F), the scale the check compares it against.
-    Rows whose residuals have the same bytes share one check and so one
-    verdict; only checks that returned are kept, so a row that raises
-    raises in table order.
+    Rows whose residuals are equal, up to the signs of zero entries, share
+    one check and so one verdict; only checks that returned are kept, so a
+    row that raises raises in table order.
     """
     nabla = op_nabla(pair.a, pair.b, v)
     sharp = op_sharp(pair, v)
@@ -330,9 +330,9 @@ def verify(
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
                 res = _residual(bound, nabla, sharp, harm, pair.a.mat)
-            key = res.tobytes()
-            if key not in checked:
-                checked[key] = _loewner_check(res, bound.constant, tol_rel)
+                key = (res + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: equal residuals share a key
+                if key not in checked:
+                    checked[key] = _loewner_check(res, bound.constant, tol_rel)
             lv, scale = checked[key]
         except NumericalError as exc:
             if not bound.literature:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +73,28 @@ def load_matrix(path: str) -> SymPDMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _finite_or_null(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    if isinstance(x, dict):
-        return {k: _finite_or_null(y) for k, y in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_finite_or_null(y) for y in x]
-    return x
-
-
-def _json(obj) -> str:
-    """Strict JSON (RFC 8259): a non-finite float is written as null."""
-    return json.dumps(_finite_or_null(obj), indent=2, allow_nan=False)
+def _json(obj, newline: str = "\n") -> str:
+    """Strict JSON (RFC 8259) with ``json.dumps(obj, indent=2)``'s text, but a
+    non-finite float is written as null.  Dict keys must be strings; a value
+    of any type ``json.dumps`` does not take raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(y, inner) for k, y in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(y, inner) for y in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(report: CertReport) -> str:

@@ -255,7 +255,7 @@ def _as_square_float(x) -> np.ndarray:
         raise InputError("empty matrix")
     if arr.shape[0] > MAX_DIM:
         raise InputError(f"dimension {arr.shape[0]} exceeds cap {MAX_DIM}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("matrix entries must be finite")
     return arr
 
@@ -275,25 +275,29 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     arr = _as_square_float(x)
     n = arr.shape[0]
     with np.errstate(over="ignore"):  # overflow is caught and reported below
-        norm = float(np.sqrt(np.sum(np.square(arr))))
-    if not np.isfinite(norm):
+        # np.sum's pairwise sum without its dispatch, so the same bits
+        norm = math.sqrt(np.add.reduce(np.square(arr), axis=None))
+    if not math.isfinite(norm):
         raise NumericalError("matrix Frobenius norm overflowed")
     a = 0.5 * (arr + arr.T)
-    vec = np.eye(n) if vectors else np.zeros((0, n))
     if n >= ROUND_ROBIN_MIN_DIM:
+        vec = np.eye(n) if vectors else np.zeros((0, n))
         sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+        diag = a.diagonal().tolist()
     else:
-        a_rows, w_rows = a.tolist(), vec.tolist()  # the identity is its own transpose
+        # the rows of V^T start as the identity's, built only when vectors are asked for
+        a_rows, w_rows = a.tolist(), np.eye(n).tolist() if vectors else []
         sweeps = _jacobi_kernel(a_rows, w_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
-        a, vec = np.array(a_rows), np.array(w_rows).T
+        diag = [row[i] for i, row in enumerate(a_rows)]
+        vec = np.array(w_rows).T if vectors else None
     if sweeps < 0:
         raise NumericalError(
             f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
         )
-    evals = np.diag(a).copy()
-    order = np.argsort(evals, kind="stable")
-    basis = np.ascontiguousarray(vec[:, order]) if vectors else None
-    return SpectralDecomposition(evals[order], basis, sweeps)
+    if not vectors:  # a stable sort: equal values, -0.0 and 0.0 among them, keep their order
+        return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
+    order = np.argsort(diag, kind="stable")
+    return SpectralDecomposition(np.array(diag)[order], np.ascontiguousarray(vec[:, order]), sweeps)
 
 
 def require_pd(eigenvalues: np.ndarray, margin: float) -> None:

@@ -105,24 +105,28 @@ class UniformBox:
         return self.M - self.m <= REGIME_TIE_TOL * self.M
 
 
-def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix,
-                      vectors: bool = True) -> SpectralDecomposition:
+def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix, vectors: bool = True,
+                      a_inv_half: np.ndarray | None = None) -> SpectralDecomposition:
     """Eigendecomposition of A^(-1/2) B A^(-1/2): its ends bound B by A, its powers give A#_vB.
 
-    The relative spectrum of a PD pair is positive, so a computed one that
-    is not is a NumericalError: the pair is too ill-conditioned to resolve.
+    ``a_inv_half`` is A^(-1/2) when the caller already has it.  The relative
+    spectrum of a PD pair is positive, so a computed one that is not is a
+    NumericalError: the pair is too ill-conditioned to resolve.
     """
     check_same_dim(a, b)
-    dec = eig_sym(congruence(b.mat, mat_fpow(a, -0.5).mat), vectors=vectors)
+    if a_inv_half is None:
+        a_inv_half = mat_fpow(a, -0.5).mat
+    dec = eig_sym(congruence(b.mat, a_inv_half), vectors=vectors)
     if dec.eigenvalues[0] <= 0.0:
         raise NumericalError(
             f"relative spectrum lost positivity: smallest eigenvalue {dec.eigenvalues[0]:.6e}")
     return dec
 
 
-def sandwich_of(a: SymPDMatrix, b: SymPDMatrix) -> SandwichInterval:
+def sandwich_of(a: SymPDMatrix, b: SymPDMatrix,
+                a_inv_half: np.ndarray | None = None) -> SandwichInterval:
     """Tight sandwich scalars: the ends of the relative spectrum of (A, B)."""
-    lam = relative_spectrum(a, b, vectors=False).eigenvalues
+    lam = relative_spectrum(a, b, vectors=False, a_inv_half=a_inv_half).eigenvalues
     return SandwichInterval(float(lam[0]), float(lam[-1]))
 
 
@@ -130,8 +134,8 @@ class PairContext:
     """Everything about a pair (A, B) that no weight changes, each part
     computed on first use and then kept for every later weight.
 
-    The parts are the sandwich, the relative spectrum with its eigenvectors,
-    A^(1/2) and the uniform box, each computed by the same
+    The parts are A^(-1/2), the sandwich, the relative spectrum with its
+    eigenvectors, A^(1/2) and the uniform box, each computed by the same
     operations as for a single weight, so every weight's report has the same
     bits as a one-weight run.  The sandwich keeps its own eigenvalues-only
     solve (perfbench pins a one-weight report at 11 eigensolves), so a pair
@@ -144,12 +148,16 @@ class PairContext:
         self.b = b
 
     @cached_property
+    def a_inv_half(self) -> np.ndarray:
+        return mat_fpow(self.a, -0.5).mat
+
+    @cached_property
     def sandwich(self) -> SandwichInterval:
-        return sandwich_of(self.a, self.b)
+        return sandwich_of(self.a, self.b, self.a_inv_half)
 
     @cached_property
     def relative(self) -> SpectralDecomposition:
-        return relative_spectrum(self.a, self.b)
+        return relative_spectrum(self.a, self.b, a_inv_half=self.a_inv_half)
 
     @cached_property
     def a_half(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from meancert.certify import (
     verify,
 )
 from meancert.means import op_harm, op_nabla, op_sharp
-from meancert.eigen import SymPDMatrix
+from meancert.eigen import DEFAULT_LOEWNER_TOL, SymPDMatrix, loewner_geq_zero
 from meancert.errors import DomainError, InputError
 from meancert.sandwich import (
     ABOVE,
@@ -342,6 +342,24 @@ class TestOneCheckPerDistinctResidual:
             assert any({"thm1.upper", "prop2.upper"} <= set(g) for g in groups.values())
         for group in groups.values():
             assert all(verdicts[name] == verdicts[group[0]] for name in group)
+
+    def test_residuals_apart_only_in_signs_of_zeros_share_a_check(self, checked):
+        # at v = 0, thm1.upper (1 sharp - nabla) and prop2.upper (0 A - gap)
+        # are equal, but 0 times a negative entry of A leaves -0.0 in the latter
+        a, b = gen_instance(4, 1.2, 5.0, 1)
+        verdicts, groups = self.certified(a, b, 0.0)
+        assert not any({"thm1.upper", "prop2.upper"} <= set(g) for g in groups.values())
+        assert len(groups) == 5 and len(checked) == 4
+        pair = PairContext(a, b)
+        nabla, sharp, harm = op_nabla(a, b, 0.0), op_sharp(pair, 0.0), op_harm(pair, 0.0)
+        for x in catalog(pair.sandwich, 0.0, uniform_box=pair.uniform_box):
+            if x.applicable:
+                own = loewner_geq_zero(certify._residual(x, nabla, sharp, harm, a.mat),
+                                       DEFAULT_LOEWNER_TOL)
+                # the same bits, the sign of a zero included
+                assert np.float64(verdicts[x.name].min_eig).tobytes() == \
+                    np.float64(own.min_eig).tobytes()
+                assert verdicts[x.name].holds == own.holds
 
     def test_doubled_zuo_splits_its_group(self, checked, monkeypatch):
         a, b = gen_instance(4, 1.2, 5.0, 3)

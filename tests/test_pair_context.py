@@ -118,3 +118,28 @@ def test_argument_checks_run_before_any_eigensolve(eig_calls, v, tol, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         cli.certify_pair(a, b, v, tol)
     assert eig_calls == []
+
+
+def test_sweep_builds_each_power_of_a_once(tmp_path, monkeypatch):
+    # A^(-1/2) serves both the sandwich's solve and the relative spectrum's
+    powers, real = [], sandwich.mat_fpow
+
+    def spy(x, p):
+        powers.append(p)
+        return real(x, p)
+
+    monkeypatch.setattr(sandwich, "mat_fpow", spy)
+    a_path, b_path = _pair_files(tmp_path, 4, "straddle")
+    assert _sweep(a_path, b_path, ("-0.5", "1.5", "5"), tmp_path / "s.csv") == EXIT_PASS
+    assert powers == [-0.5, 0.5]
+
+
+def test_mismatched_dimensions_raise_before_any_eigensolve(eig_calls):
+    a, b = certify.gen_instance(2, 0.5, 3.0, 4)[0], certify.gen_instance(3, 0.5, 3.0, 4)[1]
+    eig_calls.clear()
+    for part in ("sandwich", "relative"):
+        with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
+            getattr(sandwich.PairContext(a, b), part)
+    with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
+        cli.certify_pair(a, b, 0.5, DEFAULT_LOEWNER_TOL)
+    assert eig_calls == []
