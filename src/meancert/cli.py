@@ -73,28 +73,32 @@ def load_matrix(path: str) -> SymPDMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _json(obj, newline: str = "\n") -> str:
+def _json(obj) -> str:
     """Strict JSON (RFC 8259) with ``json.dumps(obj, indent=2)``'s text, but a
     non-finite float is written as null.  Dict keys must be strings; a value
     of any type ``json.dumps`` does not take raises TypeError."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json(y, inner) for k, y in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [_json(y, inner) for y in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    def write(obj, newline: str) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True or obj is False:
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            return float.__repr__(obj) if math.isfinite(obj) else "null"
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            items = [encode_basestring_ascii(k) + ": " + write(y, inner) for k, y in obj.items()]
+            return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+        if isinstance(obj, (list, tuple)):
+            items = [write(y, inner) for y in obj]
+            return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    return write(obj, "\n")
 
 
 def emit_report(report: CertReport) -> str:

@@ -294,10 +294,9 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
         raise NumericalError(
             f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
         )
-    if not vectors:  # a stable sort: equal values, -0.0 and 0.0 among them, keep their order
-        return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
-    order = np.argsort(diag, kind="stable")
-    return SpectralDecomposition(np.array(diag)[order], np.ascontiguousarray(vec[:, order]), sweeps)
+    order = sorted(range(n), key=diag.__getitem__)  # stable: equal values keep their order
+    basis = np.ascontiguousarray(vec[:, order]) if vectors else None
+    return SpectralDecomposition(np.array([diag[i] for i in order]), basis, sweeps)
 
 
 def require_pd(eigenvalues: np.ndarray, margin: float) -> None:

@@ -105,17 +105,14 @@ class UniformBox:
         return self.M - self.m <= REGIME_TIE_TOL * self.M
 
 
-def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix, vectors: bool = True,
-                      a_inv_half: np.ndarray | None = None) -> SpectralDecomposition:
-    """Eigendecomposition of A^(-1/2) B A^(-1/2): its ends bound B by A, its powers give A#_vB.
+def relative_spectrum(a_inv_half: np.ndarray, b: SymPDMatrix,
+                      vectors: bool = True) -> SpectralDecomposition:
+    """Eigendecomposition of A^(-1/2) B A^(-1/2) from A^(-1/2): its ends bound
+    B by A, its powers give A#_vB.
 
-    ``a_inv_half`` is A^(-1/2) when the caller already has it.  The relative
-    spectrum of a PD pair is positive, so a computed one that is not is a
-    NumericalError: the pair is too ill-conditioned to resolve.
+    The relative spectrum of a PD pair is positive, so a computed one that
+    is not is a NumericalError: the pair is too ill-conditioned to resolve.
     """
-    check_same_dim(a, b)
-    if a_inv_half is None:
-        a_inv_half = mat_fpow(a, -0.5).mat
     dec = eig_sym(congruence(b.mat, a_inv_half), vectors=vectors)
     if dec.eigenvalues[0] <= 0.0:
         raise NumericalError(
@@ -123,10 +120,9 @@ def relative_spectrum(a: SymPDMatrix, b: SymPDMatrix, vectors: bool = True,
     return dec
 
 
-def sandwich_of(a: SymPDMatrix, b: SymPDMatrix,
-                a_inv_half: np.ndarray | None = None) -> SandwichInterval:
-    """Tight sandwich scalars: the ends of the relative spectrum of (A, B)."""
-    lam = relative_spectrum(a, b, vectors=False, a_inv_half=a_inv_half).eigenvalues
+def sandwich_of(a_inv_half: np.ndarray, b: SymPDMatrix) -> SandwichInterval:
+    """Tight sandwich scalars from A^(-1/2): the ends of the relative spectrum of (A, B)."""
+    lam = relative_spectrum(a_inv_half, b, vectors=False).eigenvalues
     return SandwichInterval(float(lam[0]), float(lam[-1]))
 
 
@@ -140,7 +136,8 @@ class PairContext:
     bits as a one-weight run.  The sandwich keeps its own eigenvalues-only
     solve (perfbench pins a one-weight report at 11 eigensolves), so a pair
     solves its relative spectrum twice in all.  Nothing is checked or solved
-    when the context is made: the first use raises whatever its part raises.
+    when the context is made: the first use raises whatever its part raises,
+    and the sandwich and relative spectrum check the dimensions first.
     """
 
     def __init__(self, a: SymPDMatrix, b: SymPDMatrix):
@@ -149,15 +146,16 @@ class PairContext:
 
     @cached_property
     def a_inv_half(self) -> np.ndarray:
+        check_same_dim(self.a, self.b)
         return mat_fpow(self.a, -0.5).mat
 
     @cached_property
     def sandwich(self) -> SandwichInterval:
-        return sandwich_of(self.a, self.b, self.a_inv_half)
+        return sandwich_of(self.a_inv_half, self.b)
 
     @cached_property
     def relative(self) -> SpectralDecomposition:
-        return relative_spectrum(self.a, self.b, a_inv_half=self.a_inv_half)
+        return relative_spectrum(self.a_inv_half, self.b)
 
     @cached_property
     def a_half(self) -> np.ndarray:

@@ -27,7 +27,6 @@ from meancert.sandwich import (
     B_BELOW_A,
     PairContext,
     SpectralBox,
-    sandwich_of,
     uniform_box_of,
 )
 
@@ -98,7 +97,7 @@ def test_criterion_2_sharp_multiplicative_bounds(warm_solver):
     ok = True
     for regime, seed in (("below", 1), ("above", 2)):
         for a, b in regime_ensemble(regime, 100, seed):
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             for v in V_GRID:
                 shp = op_sharp(PairContext(a, b), v)
                 nab = op_nabla(a, b, v)
@@ -147,7 +146,7 @@ def test_criterion_4_additive_bounds(warm_solver):
     ok = True
     for regime, seed in (("below", 4), ("above", 5), ("straddle", 6)):
         for a, b in regime_ensemble(regime, 100, seed):
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             for v in V_GRID:
                 gap = op_nabla(a, b, v) - op_sharp(PairContext(a, b), v)
                 hi = max(sc.g_v(sw.s, v), sc.g_v(sw.t, v))
@@ -203,7 +202,7 @@ def test_criterion_7_extended_weights(warm_solver):
     ok = True
     for order, seed in ((A_BELOW_B, 7), (B_BELOW_A, 8)):
         for a, b in box_ensemble(order, 100, seed):
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             for v in (-0.5, 1.5, 2.0):
                 bounds = catalog(sw, v, spectral_box=EXT_BOX, box_order=order)
                 rep = verify(PairContext(a, b), v, bounds, TOL)
@@ -216,7 +215,7 @@ def test_criterion_7_extended_weights(warm_solver):
     for _ in range(50):
         s0, t0 = sorted(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2)))
         a, b = gen_instance(4, float(s0), float(t0), int(rng.integers(2 ** 63)))
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         for v in (-0.5, 1.5, 2.0):
             gap = op_nabla(a, b, v) - op_sharp(PairContext(a, b), v)
             lo = min(sc.g_v(sw.s, v), sc.g_v(sw.t, v))
@@ -228,7 +227,7 @@ def test_criterion_8_harmonic_bounds(warm_solver):
     ok = True
     for order, seed in ((A_BELOW_B, 10), (B_BELOW_A, 11)):
         for a, b in box_ensemble(order, 100, seed):
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             for v in (0.1, 0.25, 0.5, 0.75, 0.9):
                 rep = verify(PairContext(a, b), v, catalog(sw, v), TOL)
                 res = {r.statement.name: r for r in rep.results}
@@ -250,7 +249,7 @@ def test_criterion_9_scalar_reduction(warm_solver):
             (op_harm(PairContext(a, b), v)[0, 0], sc.scalar_harm(av, bv, v)),
         ]
         ok &= all(abs(x - y) <= 1e-14 * max(1.0, abs(y)) for x, y in pairs)
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         ok &= abs(sw.s - bv / av) <= 1e-12 * (bv / av)
     for _ in range(100):
         n = int(rng.integers(1, 9))

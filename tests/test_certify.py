@@ -29,7 +29,6 @@ from meancert.sandwich import (
     SandwichInterval,
     SpectralBox,
     UniformBox,
-    sandwich_of,
     uniform_box_of,
 )
 
@@ -206,7 +205,7 @@ class TestVerify:
     def test_scalar_sharpness_witness(self):
         a = SymPDMatrix(4.0 * np.eye(3))
         b = SymPDMatrix(np.eye(3))
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         assert sw.regime == "below"
         report = verify(PairContext(a, b), 0.5, catalog(sw, 0.5))
         res = {r.statement.name: r for r in report.results}
@@ -219,7 +218,7 @@ class TestVerify:
         x = rng.standard_normal((4, 4))
         a = SymPDMatrix(x @ x.T + 4 * np.eye(4))
         for v in (0.0, 0.3, 1.0):
-            report = verify(PairContext(a, a), v, catalog(sandwich_of(a, a), v))
+            report = verify(PairContext(a, a), v, catalog(PairContext(a, a).sandwich, v))
             assert report.overall_pass
             for r in report.results:
                 if r.verdict is not None:
@@ -228,7 +227,7 @@ class TestVerify:
     def test_random_above_regime(self):
         for i in range(10):
             a, b = gen_instance(4, 1.2, 5.0, 100 + i)
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             report = verify(PairContext(a, b), 0.3,
                             catalog(sw, 0.3, uniform_box=uniform_box_of(a, b)))
             assert report.overall_pass
@@ -237,7 +236,7 @@ class TestVerify:
         # wide above-regime spread: the exponential reverse constant keyed to
         # s alone cannot cover the upper end
         a, b = gen_instance(5, 1.05, 50.0, 7)
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         report = verify(PairContext(a, b), 0.5, catalog(sw, 0.5))
         assert report.overall_pass
         assert any("dragomir" in f for f in report.findings)
@@ -246,7 +245,7 @@ class TestVerify:
         from dataclasses import replace
 
         a, b = gen_instance(3, 1.5, 2.0, 1)
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         tampered = [replace(b_, constant=b_.constant * 2)
                     if b_.name == "thm1.lower" else b_
                     for b_ in catalog(sw, 0.5)]
@@ -259,7 +258,7 @@ class TestVerify:
         a, b = gen_instance(4, s0, t0, 3)
         a, b = SymPDMatrix(30.0 * a.mat), SymPDMatrix(30.0 * b.mat)
         report = verify(PairContext(a, b), v,
-                        catalog(sandwich_of(a, b), v, uniform_box=uniform_box_of(a, b)))
+                        catalog(PairContext(a, b).sandwich, v, uniform_box=uniform_box_of(a, b)))
         # the residuals rebuilt with LAPACK, apart from the program's means
         lam, q = np.linalg.eigh(a.mat)
         half, inv_half = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
@@ -285,7 +284,7 @@ class TestVerify:
 
     def test_pass_and_findings_are_read_from_the_verdicts(self):
         a, b = gen_instance(5, 1.05, 50.0, 7)
-        report = verify(PairContext(a, b), 0.5, catalog(sandwich_of(a, b), 0.5))
+        report = verify(PairContext(a, b), 0.5, catalog(PairContext(a, b).sandwich, 0.5))
         assert report.overall_pass and report.findings
         report = replace(report, results=tuple(
             replace(r, verdict=replace(r.verdict, holds=False))
@@ -397,19 +396,19 @@ class TestHarmonicMeanBuild:
 
     def test_full_catalog_in_unit_builds_it_once(self, calls):
         a, b = gen_instance(3, 0.4, 2.5, 1)
-        assert verify(PairContext(a, b), 0.5, catalog(sandwich_of(a, b), 0.5)).overall_pass
+        assert verify(PairContext(a, b), 0.5, catalog(PairContext(a, b).sandwich, 0.5)).overall_pass
         assert calls == [0.5]
 
     def test_extended_weight_does_not_build_it(self, calls):
         a, b = gen_instance(3, 0.4, 2.5, 1)
-        verify(PairContext(a, b), 1.5, catalog(sandwich_of(a, b), 1.5))
+        verify(PairContext(a, b), 1.5, catalog(PairContext(a, b).sandwich, 1.5))
         assert calls == []
 
     def test_not_built_when_no_harmonic_bound_applies(self, calls):
         a, b = gen_instance(3, 0.4, 2.5, 1)
         bounds = [replace(x, applicable=False, constant=None)
                   if x.relation == HARM_VS_SHARP else x
-                  for x in catalog(sandwich_of(a, b), 0.5)]
+                  for x in catalog(PairContext(a, b).sandwich, 0.5)]
         report = verify(PairContext(a, b), 0.5, bounds)
         assert calls == []
         assert all(r.verdict is None for r in report.results
@@ -418,7 +417,7 @@ class TestHarmonicMeanBuild:
     def test_applicable_harmonic_bound_at_extended_weight_is_domain_error(self, calls):
         a, b = gen_instance(3, 0.4, 2.5, 1)
         # applicable at v = 0.5, so applicable where its gate would say no
-        harm_lower = by_name(catalog(sandwich_of(a, b), 0.5))["harm.lower"]
+        harm_lower = by_name(catalog(PairContext(a, b).sandwich, 0.5))["harm.lower"]
         with pytest.raises(DomainError, match="harmonic mean needs weight in"):
             verify(PairContext(a, b), 1.5, [harm_lower])
         assert calls == [1.5]
@@ -480,7 +479,7 @@ class TestGenerators:
 
     def test_prescribed_sandwich(self):
         a, b = gen_instance(4, 0.5, 2.0, 123)
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         assert sw.s == pytest.approx(0.5, rel=1e-8)
         assert sw.t == pytest.approx(2.0, rel=1e-8)
 
@@ -521,4 +520,4 @@ class TestGenerators:
     def test_box_instance_regime(self):
         box = SpectralBox(0.5, 1.0, 2.0, 4.0)
         a, b = gen_box_instance(4, box, A_BELOW_B, 5)
-        assert sandwich_of(a, b).regime == ABOVE
+        assert PairContext(a, b).sandwich.regime == ABOVE

@@ -12,14 +12,13 @@ from meancert.sandwich import (
     BELOW,
     B_BELOW_A,
     STRADDLE,
+    PairContext,
     SandwichInterval,
     SpectralBox,
     UniformBox,
     box_bands,
     classify_regime,
-    relative_spectrum,
     sandwich_from_box,
-    sandwich_of,
     uniform_box_of,
 )
 
@@ -66,20 +65,20 @@ class TestSandwichOf:
         a = random_pd(rng, 4)
         for c in (0.1, 1.0, 7.0):
             b = SymPDMatrix(c * a.mat)
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             assert sw.s == pytest.approx(c, rel=1e-10)
             assert sw.t == pytest.approx(c, rel=1e-10)
 
     def test_diagonal_ratios(self):
         a = SymPDMatrix(np.diag([2.0, 3.0]))
         b = SymPDMatrix(np.diag([1.0, 6.0]))
-        sw = sandwich_of(a, b)
+        sw = PairContext(a, b).sandwich
         assert sw.s == pytest.approx(0.5, rel=1e-12)
         assert sw.t == pytest.approx(2.0, rel=1e-12)
         assert sw.regime == STRADDLE
 
     def test_identity_left(self):
-        sw = sandwich_of(SymPDMatrix(np.eye(2)), SymPDMatrix(np.diag([2.0, 3.0])))
+        sw = PairContext(SymPDMatrix(np.eye(2)), SymPDMatrix(np.diag([2.0, 3.0]))).sandwich
         assert (sw.s, sw.t) == (pytest.approx(2.0), pytest.approx(3.0))
         assert sw.regime == ABOVE
 
@@ -87,7 +86,7 @@ class TestSandwichOf:
         rng = np.random.default_rng(1)
         for _ in range(20):
             a, b = random_pd(rng, 5), random_pd(rng, 5)
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             assert loewner_geq_zero(b.mat - sw.s * a.mat, 1e-9).holds
             assert loewner_geq_zero(sw.t * a.mat - b.mat, 1e-9).holds
             assert not loewner_geq_zero(b.mat - sw.s * (1 + 1e-6) * a.mat, 1e-9).holds
@@ -96,20 +95,21 @@ class TestSandwichOf:
     def test_ends_of_relative_spectrum(self):
         rng = np.random.default_rng(3)
         a, b = random_pd(rng, 5), random_pd(rng, 5)
-        lam = relative_spectrum(a, b).eigenvalues
-        sw = sandwich_of(a, b)
+        pair = PairContext(a, b)
+        lam = pair.relative.eigenvalues
+        sw = pair.sandwich
         assert (sw.s, sw.t) == (lam[0], lam[-1])
 
     def test_relative_spectrum_of_diagonal_pair(self):
-        dec = relative_spectrum(SymPDMatrix(np.diag([2.0, 4.0, 1.0])),
-                                SymPDMatrix(np.diag([1.0, 6.0, 3.0])))
+        dec = PairContext(SymPDMatrix(np.diag([2.0, 4.0, 1.0])),
+                          SymPDMatrix(np.diag([1.0, 6.0, 3.0]))).relative
         np.testing.assert_allclose(dec.eigenvalues, [0.5, 1.5, 3.0], rtol=1e-13)
         np.testing.assert_allclose(np.abs(dec.basis), np.eye(3), atol=1e-13)
 
     def test_roundtrip_with_generator(self):
         for seed, (s0, t0) in enumerate([(0.5, 2.0), (0.2, 0.9), (1.5, 6.0)]):
             a, b = gen_instance(4, s0, t0, seed)
-            sw = sandwich_of(a, b)
+            sw = PairContext(a, b).sandwich
             assert sw.s == pytest.approx(s0, rel=1e-8)
             assert sw.t == pytest.approx(t0, rel=1e-8)
 
