@@ -16,7 +16,6 @@ from .sandwich import (
     SandwichInterval,
     SpectralBox,
     UniformBox,
-    sandwich_from_box,
     sandwich_of,
     uniform_box_of,
 )

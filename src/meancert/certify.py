@@ -39,8 +39,6 @@ from .sandwich import (
     SandwichInterval,
     SpectralBox,
     UniformBox,
-    box_bands,
-    sandwich_from_box,
 )
 
 MULTIPLICATIVE = "multiplicative"
@@ -126,17 +124,17 @@ class _Point:
     The identity-referenced box bounds are scaled by A's band of the box.
     """
 
-    def __init__(self, sw, v, uniform_box, spectral_box, box_order):
+    def __init__(self, sw, v, uniform_box, spectral_box):
         self.s, self.t, self.v = sw.s, sw.t, v
         self.in_unit = _in_unit(v)
         self.straddle = sw.regime == STRADDLE
         self.above = sw.regime == ABOVE
         self.near, self.far = sw.near_far
         self.uniform_box = uniform_box
-        self.box_near = None  # stays None without a box; a given box and order are always read
+        self.box_near = None  # stays None without a box; a given box is always read
         if spectral_box is not None:
-            self.box_near, self.box_far = sandwich_from_box(spectral_box, box_order).near_far
-            (self.box_lo_ref, self.box_hi_ref), _ = box_bands(spectral_box, box_order)
+            self.box_near, self.box_far = spectral_box.sandwich.near_far
+            self.box_lo_ref, self.box_hi_ref = spectral_box.a_band
 
     def f(self, x: float) -> float:
         return scalars.f_v(x, self.v)
@@ -258,14 +256,13 @@ def catalog(
     v: float,
     uniform_box: UniformBox | None = None,
     spectral_box: SpectralBox | None = None,
-    box_order: str | None = None,
 ) -> list[BoundStatement]:
     """Every named bound for this sandwich/weight, applicable or not.
 
     Inapplicable entries are kept (with constant None and a reason) so the
     report always enumerates the full catalog in a stable order.
     """
-    p = _Point(sw, v, uniform_box, spectral_box, box_order)
+    p = _Point(sw, v, uniform_box, spectral_box)
     out = []
     for name, form, side, relation, ref, literature, source, gate, constant in TABLE:
         reason = gate(p)
@@ -380,7 +377,7 @@ def compare_constants(h: float, v: float) -> dict:
 
 def comparison_of(sw: SandwichInterval, v: float) -> dict | None:
     """The comparison row at the literature ratio when those bounds apply and it is >= 1."""
-    p = _Point(sw, v, None, None, None)
+    p = _Point(sw, v, None, None)
     return None if _literature(p) or not p.h_lit >= 1.0 else compare_constants(p.h_lit, v)
 
 
@@ -420,18 +417,14 @@ def gen_instance(dim: int, s0: float, t0: float, seed: int) -> tuple[SymPDMatrix
     return a, b
 
 
-def gen_box_instance(
-    dim: int, box: SpectralBox, order: str, seed: int
-) -> tuple[SymPDMatrix, SymPDMatrix]:
-    """Deterministic PD pair satisfying the spectral-box hypothesis.
-
-    Under A_BELOW_B the spectrum of A fills [m', m] and that of B fills
-    [M, M'] (endpoints attained for dim >= 2); B_BELOW_A swaps the roles.
+def gen_box_instance(dim: int, box: SpectralBox, seed: int) -> tuple[SymPDMatrix, SymPDMatrix]:
+    """Deterministic PD pair satisfying the spectral-box hypothesis: the
+    spectrum of A fills A's band and that of B fills B's band (endpoints
+    attained for dim >= 2).
     """
     if not 1 <= dim <= MAX_DIM:
         raise InputError(f"dimension {dim} out of range [1, {MAX_DIM}]")
-    a_band, b_band = box_bands(box, order)
     rng = np.random.default_rng(seed)
-    a = _random_pd(rng, _pinned_log_uniform(rng, dim, *a_band))
-    b = _random_pd(rng, _pinned_log_uniform(rng, dim, *b_band))
+    a = _random_pd(rng, _pinned_log_uniform(rng, dim, *box.a_band))
+    b = _random_pd(rng, _pinned_log_uniform(rng, dim, *box.b_band))
     return a, b

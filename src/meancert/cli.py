@@ -146,9 +146,11 @@ def _check_out(out: str | None):
     any work starts.  The file is written only when the work is done, so a
     run that fails leaves none behind.  The path is read as ``open`` reads
     it, so a trailing separator names a directory and ``a.json/.`` lies in
-    ``a.json`` (``Path`` would drop both)."""
-    if not out:
+    ``a.json`` (``Path`` would drop both).  Only None means stdout."""
+    if out is None:
         return
+    if not out:
+        raise InputError("empty output path")
     parent = os.path.dirname(out) or os.curdir
     if out[-1] in (os.sep, os.altsep) or os.path.isdir(out):
         code = errno.EISDIR
@@ -160,7 +162,7 @@ def _check_out(out: str | None):
 
 
 def _write_out(text: str, out: str | None):
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as f:
                 f.write(text)

@@ -314,29 +314,32 @@ class SymPDMatrix:
     """Real symmetric positive-definite matrix with cached spectral data.
 
     Construction checks the asymmetry is round-off scale, symmetrizes, and
-    applies ``require_pd`` to a full eigensolve, or to a given spectrum
-    (``from_spectrum``).  Given spectra are powers of a checked matrix or a
-    generator's chosen spectrum, so they need only be positive.  Instances
-    are treated as immutable; nothing mutates ``mat`` or the cached
-    decomposition.
+    applies ``require_pd`` to a full eigensolve.  ``from_spectrum`` builds
+    an exactly symmetric matrix from a given spectrum, which need only be
+    positive: it is a power of a checked matrix or a generator's choice.
+    Instances are treated as immutable; nothing mutates ``mat`` or the
+    cached decomposition.
     """
 
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None):
         arr = _as_square_float(entries)
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        asym = float(np.max(np.abs(arr - arr.T)))
-        if asym > SYMMETRY_REL_TOL * scale:
-            raise InputError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
-            )
-        # halve before adding so near-overflow entries survive symmetrization
-        self.mat = arr * 0.5 + arr.T * 0.5
-        dec, margin = (eig_sym(self.mat), PD_REL_MARGIN) if _decomp is None else (_decomp, 0.0)
+        dec, margin = _decomp, 0.0
+        if dec is None:  # a given decomposition's matrix is exactly symmetric
+            scale = max(1.0, float(np.max(np.abs(arr))))
+            asym = float(np.max(np.abs(arr - arr.T)))
+            if asym > SYMMETRY_REL_TOL * scale:
+                raise InputError(
+                    f"matrix is not symmetric: max asymmetry {asym:.3e} "
+                    f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
+                )
+            # halve before adding so near-overflow entries survive symmetrization
+            arr = arr * 0.5 + arr.T * 0.5
+            dec, margin = eig_sym(arr), PD_REL_MARGIN
         require_pd(dec.eigenvalues, margin)
-        self.dim = self.mat.shape[0]
+        self.mat = arr
+        self.dim = arr.shape[0]
         self.eigenvalues = dec.eigenvalues
         self.eigenvectors = dec.basis
 

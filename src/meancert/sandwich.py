@@ -16,18 +16,13 @@ from .eigen import (
     eig_sym,
     mat_fpow,
 )
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, NumericalError
 
 BELOW = "below"
 ABOVE = "above"
 STRADDLE = "straddle"
 
 REGIME_TIE_TOL = 1e-12
-
-# Which half of the box hypothesis holds: case (i) has A under B, case (ii)
-# the reverse.
-A_BELOW_B = "a_below_b"
-B_BELOW_A = "b_below_a"
 
 
 def classify_regime(s: float, t: float) -> str:
@@ -66,23 +61,23 @@ class SandwichInterval:
 
 @dataclass(frozen=True)
 class SpectralBox:
-    """Scalars 0 < m_outer <= m_inner < M_inner <= M_outer boxing A and B."""
+    """A's band and B's band, each (lo, hi) with 0 < lo <= hi finite, and
+    disjoint: A lies wholly below B (the 'above' regime) or above it."""
 
-    m_outer: float
-    m_inner: float
-    M_inner: float
-    M_outer: float
+    a_band: tuple[float, float]
+    b_band: tuple[float, float]
 
     def __post_init__(self):
-        ok = (
-            0.0 < self.m_outer <= self.m_inner
-            and self.m_inner < self.M_inner <= self.M_outer
-        )
-        if not ok:
-            raise DomainError(
-                "spectral box must satisfy 0 < m' <= m < M <= M', got "
-                f"({self.m_outer}, {self.m_inner}, {self.M_inner}, {self.M_outer})"
-            )
+        (a_lo, a_hi), (b_lo, b_hi) = self.a_band, self.b_band
+        if not (0.0 < a_lo <= a_hi < math.inf and 0.0 < b_lo <= b_hi < math.inf
+                and (a_hi < b_lo or b_hi < a_lo)):
+            raise DomainError("spectral box needs finite disjoint bands 0 < lo <= hi, "
+                              f"got A in {self.a_band}, B in {self.b_band}")
+
+    @property
+    def sandwich(self) -> SandwichInterval:
+        """The sandwich scalars the box implies: s = b_lo / a_hi, t = b_hi / a_lo."""
+        return SandwichInterval(self.b_band[0] / self.a_band[1], self.b_band[1] / self.a_band[0])
 
 
 @dataclass(frozen=True)
@@ -164,27 +159,6 @@ class PairContext:
     @cached_property
     def uniform_box(self) -> UniformBox:
         return uniform_box_of(self.a, self.b)
-
-
-def box_bands(box: SpectralBox, order: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(A's band, B's band) of the box: A_BELOW_B puts A in [m', m] and B in
-    [M, M']; B_BELOW_A swaps them."""
-    lo, hi = (box.m_outer, box.m_inner), (box.M_inner, box.M_outer)
-    if order == A_BELOW_B:
-        return lo, hi
-    if order == B_BELOW_A:
-        return hi, lo
-    raise InputError(f"unknown box order '{order}'")
-
-
-def sandwich_from_box(box: SpectralBox, order: str) -> SandwichInterval:
-    """Sandwich scalars implied by the box: s = b_lo / a_hi and t = b_hi / a_lo.
-
-    Case A_BELOW_B gives (M/m, M'/m') in the 'above' regime; case
-    B_BELOW_A gives (m'/M', m/M) in the 'below' regime.
-    """
-    (a_lo, a_hi), (b_lo, b_hi) = box_bands(box, order)
-    return SandwichInterval(b_lo / a_hi, b_hi / a_lo)
 
 
 def uniform_box_of(a: SymPDMatrix, b: SymPDMatrix) -> UniformBox:

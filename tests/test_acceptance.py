@@ -22,13 +22,7 @@ from meancert.certify import (
 )
 from meancert.eigen import SymPDMatrix, eig_sym, loewner_geq_zero
 from meancert.means import op_harm, op_nabla, op_sharp
-from meancert.sandwich import (
-    A_BELOW_B,
-    B_BELOW_A,
-    PairContext,
-    SpectralBox,
-    uniform_box_of,
-)
+from meancert.sandwich import PairContext, SpectralBox
 
 TOL = 1e-9
 V_GRID = np.linspace(0.0, 1.0, 11)
@@ -188,23 +182,24 @@ def test_criterion_6_constant_hierarchy():
                   f"dragomir<zuo seen: {saw_lt}; dragomir>zuo seen: {saw_gt}")
 
 
-EXT_BOX = SpectralBox(0.4, 1.0, 2.5, 6.0)
+# both cases of the box hypothesis: A below B, then B below A
+LOW, HIGH = (0.4, 1.0), (2.5, 6.0)
+EXT_BOXES = (SpectralBox(LOW, HIGH), SpectralBox(HIGH, LOW))
 
 
-def box_ensemble(order, count, seed):
+def box_ensemble(box, count, seed):
     rng = np.random.default_rng(seed)
-    return [gen_box_instance(int(rng.integers(2, 7)), EXT_BOX, order,
-                             int(rng.integers(2 ** 63)))
+    return [gen_box_instance(int(rng.integers(2, 7)), box, int(rng.integers(2 ** 63)))
             for _ in range(count)]
 
 
 def test_criterion_7_extended_weights(warm_solver):
     ok = True
-    for order, seed in ((A_BELOW_B, 7), (B_BELOW_A, 8)):
-        for a, b in box_ensemble(order, 100, seed):
+    for box, seed in zip(EXT_BOXES, (7, 8)):
+        for a, b in box_ensemble(box, 100, seed):
             sw = PairContext(a, b).sandwich
             for v in (-0.5, 1.5, 2.0):
-                bounds = catalog(sw, v, spectral_box=EXT_BOX, box_order=order)
+                bounds = catalog(sw, v, spectral_box=box)
                 rep = verify(PairContext(a, b), v, bounds, TOL)
                 ok &= rep.overall_pass
                 # reversed chain holds outright
@@ -225,8 +220,8 @@ def test_criterion_7_extended_weights(warm_solver):
 
 def test_criterion_8_harmonic_bounds(warm_solver):
     ok = True
-    for order, seed in ((A_BELOW_B, 10), (B_BELOW_A, 11)):
-        for a, b in box_ensemble(order, 100, seed):
+    for box, seed in zip(EXT_BOXES, (10, 11)):
+        for a, b in box_ensemble(box, 100, seed):
             sw = PairContext(a, b).sandwich
             for v in (0.1, 0.25, 0.5, 0.75, 0.9):
                 rep = verify(PairContext(a, b), v, catalog(sw, v), TOL)

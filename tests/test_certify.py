@@ -21,9 +21,7 @@ from meancert.eigen import DEFAULT_LOEWNER_TOL, SymPDMatrix, loewner_geq_zero
 from meancert.errors import DomainError, InputError
 from meancert.sandwich import (
     ABOVE,
-    A_BELOW_B,
     BELOW,
-    B_BELOW_A,
     STRADDLE,
     PairContext,
     SandwichInterval,
@@ -39,7 +37,9 @@ def by_name(bounds):
 
 # one sandwich per regime: below, above, straddle
 REGIME_SANDWICHES = [(0.2, 0.8), (1.5, 6.0), (0.5, 2.0)]
-BOX = SpectralBox(0.5, 2.0, 3.0, 8.0)
+# the same two bands in each case of the box hypothesis
+BOXES = {"a_below_b": SpectralBox((0.5, 2.0), (3.0, 8.0)),
+         "b_below_a": SpectralBox((3.0, 8.0), (0.5, 2.0))}
 
 IN_UNIT_BOUNDS = ("thm1.lower", "thm1.upper", "young.classical", "straddle.mult.upper",
                   "prop2.lower", "prop2.upper", "thm3.upper", "harm.lower", "harm.upper",
@@ -121,20 +121,18 @@ class TestCatalog:
         sw = SandwichInterval(1.5, 6.0)
         bounds = by_name(catalog(sw, 1.5))
         assert not bounds["ext.box.lower"].applicable
-        bounds = by_name(catalog(sw, 1.5, spectral_box=SpectralBox(1, 2, 3, 6),
-                                 box_order=A_BELOW_B))
+        bounds = by_name(catalog(sw, 1.5, spectral_box=SpectralBox((1, 2), (3, 6))))
         assert bounds["ext.box.lower"].applicable
         assert bounds["ext.ibox.upper"].reference_matrix == "I"
 
-    @pytest.mark.parametrize("box", ["none", "uniform", A_BELOW_B, B_BELOW_A])
+    @pytest.mark.parametrize("box", ["none", "uniform", "a_below_b", "b_below_a"])
     @pytest.mark.parametrize("v", [-0.5, 0.3, 1.5])
     @pytest.mark.parametrize("s, t", REGIME_SANDWICHES)
     def test_applicability_reasons(self, s, t, v, box):
         sw = SandwichInterval(s, t)
         kwargs = {"uniform": {"uniform_box": UniformBox(0.5, 4.0)},
-                  "none": {}}.get(box, {"spectral_box": BOX, "box_order": box})
-        reasons = expected_reasons(sw.regime, 0.0 <= v <= 1.0, box == "uniform",
-                                   box in (A_BELOW_B, B_BELOW_A))
+                  "none": {}}.get(box, {"spectral_box": BOXES.get(box)})
+        reasons = expected_reasons(sw.regime, 0.0 <= v <= 1.0, box == "uniform", box in BOXES)
         for b in catalog(sw, v, **kwargs):
             assert b.applicability_reason == reasons.get(b.name, ""), b.name
             assert b.applicable == (b.name not in reasons), b.name
@@ -163,33 +161,19 @@ class TestCatalog:
 
     @pytest.mark.parametrize("v", [-1.0, -0.5, 1.5, 3.0])
     def test_box_constants(self, v):
-        m_out, m_in, M_in, M_out = BOX.m_outer, BOX.m_inner, BOX.M_inner, BOX.M_outer
+        (m_out, m_in), (M_in, M_out) = BOXES["a_below_b"].a_band, BOXES["a_below_b"].b_band
         sw = SandwichInterval(0.5, 2.0)
         expected = {
-            A_BELOW_B: (-sc.g_v(M_in / m_in, v), -sc.g_v(M_out / m_out, v),
-                        -m_out * sc.g_v(M_in / m_in, v), -m_in * sc.g_v(M_out / m_out, v)),
-            B_BELOW_A: (-sc.g_v(m_in / M_in, v), -sc.g_v(m_out / M_out, v),
-                        -M_in * sc.g_v(m_in / M_in, v), -M_out * sc.g_v(m_out / M_out, v)),
+            "a_below_b": (-sc.g_v(M_in / m_in, v), -sc.g_v(M_out / m_out, v),
+                          -m_out * sc.g_v(M_in / m_in, v), -m_in * sc.g_v(M_out / m_out, v)),
+            "b_below_a": (-sc.g_v(m_in / M_in, v), -sc.g_v(m_out / M_out, v),
+                          -M_in * sc.g_v(m_in / M_in, v), -M_out * sc.g_v(m_out / M_out, v)),
         }
-        for order, consts in expected.items():
-            bounds = by_name(catalog(sw, v, spectral_box=BOX, box_order=order))
+        for case, consts in expected.items():
+            bounds = by_name(catalog(sw, v, spectral_box=BOXES[case]))
             got = [bounds[n].constant for n in
                    ("ext.box.lower", "ext.box.upper", "ext.ibox.lower", "ext.ibox.upper")]
             assert got == pytest.approx(list(consts), rel=1e-14)
-
-    def test_unknown_box_order(self):
-        sw = SandwichInterval(0.5, 2.0)
-        with pytest.raises(InputError, match="unknown box order 'sideways'"):
-            catalog(sw, 1.5, spectral_box=BOX, box_order="sideways")
-        # a given box's order is read at every weight, not only where its bounds apply
-        with pytest.raises(InputError, match="unknown box order 'sideways'"):
-            catalog(sw, 0.5, spectral_box=BOX, box_order="sideways")
-        assert not by_name(catalog(sw, 1.5, box_order="sideways"))["ext.box.lower"].applicable
-
-    @pytest.mark.parametrize("v", [0.5, 1.5])
-    def test_spectral_box_without_order_is_an_error(self, v):
-        with pytest.raises(InputError, match="unknown box order 'None'"):
-            catalog(SandwichInterval(0.5, 2.0), v, spectral_box=BOX)
 
     def test_lower_multiplicative_constants_at_least_one(self):
         for s, t in [(0.2, 0.8), (1.5, 6.0), (0.5, 2.0)]:
@@ -498,26 +482,18 @@ class TestGenerators:
             gen_instance(0, 0.5, 2.0, 0)
 
     def test_box_instance_respects_box(self):
-        box = SpectralBox(0.5, 1.0, 2.0, 4.0)
-        a, b = gen_box_instance(4, box, A_BELOW_B, 3)
-        assert a.eigenvalues[0] >= box.m_outer - 1e-12
-        assert a.eigenvalues[-1] <= box.m_inner + 1e-12
-        assert b.eigenvalues[0] >= box.M_inner - 1e-12
-        assert b.eigenvalues[-1] <= box.M_outer + 1e-12
-        a, b = gen_box_instance(4, box, B_BELOW_A, 3)
-        assert b.eigenvalues[-1] <= box.m_inner + 1e-12
-        assert a.eigenvalues[0] >= box.M_inner - 1e-12
+        for box in (SpectralBox((0.5, 1.0), (2.0, 4.0)), SpectralBox((2.0, 4.0), (0.5, 1.0))):
+            a, b = gen_box_instance(4, box, 3)
+            assert a.eigenvalues[0] >= box.a_band[0] - 1e-12
+            assert a.eigenvalues[-1] <= box.a_band[1] + 1e-12
+            assert b.eigenvalues[0] >= box.b_band[0] - 1e-12
+            assert b.eigenvalues[-1] <= box.b_band[1] + 1e-12
 
     @pytest.mark.parametrize("dim", [0, 513])
     def test_box_instance_dimension_out_of_range(self, dim):
         with pytest.raises(InputError, match=f"dimension {dim} out of range"):
-            gen_box_instance(dim, SpectralBox(0.5, 1.0, 2.0, 4.0), A_BELOW_B, 0)
-
-    def test_box_instance_unknown_order(self):
-        with pytest.raises(InputError, match="unknown box order 'sideways'"):
-            gen_box_instance(4, SpectralBox(0.5, 1.0, 2.0, 4.0), "sideways", 0)
+            gen_box_instance(dim, SpectralBox((0.5, 1.0), (2.0, 4.0)), 0)
 
     def test_box_instance_regime(self):
-        box = SpectralBox(0.5, 1.0, 2.0, 4.0)
-        a, b = gen_box_instance(4, box, A_BELOW_B, 5)
+        a, b = gen_box_instance(4, SpectralBox((0.5, 1.0), (2.0, 4.0)), 5)
         assert PairContext(a, b).sandwich.regime == ABOVE

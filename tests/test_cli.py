@@ -457,6 +457,13 @@ PAIR = ["--matrix-a", "A", "--matrix-b", "B"]
       "--out", "DIR"], EXIT_INPUT, "error: {DIR}: Is a directory"),
     (["check", "--matrix-a", "NOFILE", "--matrix-b", "B", "--v", "0.5"], EXIT_INPUT,
      "error: {NOFILE}: No such file or directory"),
+    # an empty path is not stdout; it is refused before the matrices are read
+    (["check", "--matrix-a", "NOFILE", "--matrix-b", "B", "--v", "0.5", "--out", ""],
+     EXIT_INPUT, "error: empty output path"),
+    (["sweep", *PAIR, "--v-range", "0", "1", "3", "--out", ""], EXIT_INPUT,
+     "error: empty output path"),
+    (["compare", "--h-range", "1", "4", "3", "--v-range", "0", "1", "3", "--out", ""],
+     EXIT_INPUT, "error: empty output path"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_bad_value_is_one_line_not_a_traceback(tmp_path, capsys, argv, code, message):
     # MISSING is an output path in a directory that does not exist, DIR a

@@ -5,20 +5,16 @@ import pytest
 
 from meancert.certify import gen_instance
 from meancert.eigen import SymPDMatrix, loewner_geq_zero
-from meancert.errors import DomainError, InputError
+from meancert.errors import DomainError
 from meancert.sandwich import (
     ABOVE,
-    A_BELOW_B,
     BELOW,
-    B_BELOW_A,
     STRADDLE,
     PairContext,
     SandwichInterval,
     SpectralBox,
     UniformBox,
-    box_bands,
     classify_regime,
-    sandwich_from_box,
     uniform_box_of,
 )
 
@@ -116,11 +112,24 @@ class TestSandwichOf:
 
 class TestBoxes:
     def test_spectral_box_validation(self):
-        SpectralBox(1.0, 2.0, 3.0, 6.0)
-        with pytest.raises(DomainError):
-            SpectralBox(1.0, 2.0, 2.0, 6.0)  # needs m < M strictly
-        with pytest.raises(DomainError):
-            SpectralBox(2.0, 1.0, 3.0, 6.0)
+        SpectralBox((1.0, 2.0), (3.0, 6.0))
+        SpectralBox((3.0, 6.0), (1.0, 2.0))
+        SpectralBox((1.0, 1.0), (4.0, 4.0))
+        for a_band, b_band in [((1.0, 2.0), (2.0, 6.0)),  # the bands must not touch
+                               ((1.0, 3.0), (2.0, 6.0)), ((2.0, 6.0), (1.0, 3.0)),
+                               ((2.0, 1.0), (3.0, 6.0)), ((1.0, 2.0), (6.0, 3.0)),
+                               ((0.0, 2.0), (3.0, 6.0)), ((-1.0, 2.0), (3.0, 6.0))]:
+            with pytest.raises(DomainError, match="spectral box needs"):
+                SpectralBox(a_band, b_band)
+
+    @pytest.mark.parametrize("a_band,b_band", [
+        ((1.0, 2.0), (3.0, math.inf)), ((3.0, math.inf), (1.0, 2.0)),
+        ((1.0, 2.0), (math.inf, math.inf)), ((1.0, 2.0), (3.0, math.nan)),
+        ((math.nan, 2.0), (3.0, 6.0)), ((1.0, 2.0), (math.nan, math.nan)),
+    ])
+    def test_spectral_box_needs_finite_ends(self, a_band, b_band):
+        with pytest.raises(DomainError, match="spectral box needs finite"):
+            SpectralBox(a_band, b_band)
 
     @pytest.mark.parametrize("m,M", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
                                      (math.inf, math.inf)])
@@ -128,34 +137,17 @@ class TestBoxes:
         with pytest.raises(DomainError, match="invalid uniform box"):
             UniformBox(m, M)
 
-    def test_sandwich_from_box_case_i(self):
-        sw = sandwich_from_box(SpectralBox(1.0, 1.0, 4.0, 4.0), A_BELOW_B)
-        assert (sw.s, sw.t) == (4.0, 4.0)
-        assert sw.regime == ABOVE
-        sw = sandwich_from_box(SpectralBox(1.0, 2.0, 3.0, 6.0), A_BELOW_B)
-        assert (sw.s, sw.t) == (1.5, 6.0)
-
-    def test_sandwich_from_box_case_ii(self):
-        sw = sandwich_from_box(SpectralBox(1.0, 2.0, 3.0, 6.0), B_BELOW_A)
-        assert sw.s == pytest.approx(1 / 6)
-        assert sw.t == pytest.approx(2 / 3)
-        assert sw.regime == BELOW
-
-    @pytest.mark.parametrize("read", [box_bands, sandwich_from_box])
-    def test_unknown_order(self, read):
-        with pytest.raises(InputError, match="unknown box order 'sideways'"):
-            read(SpectralBox(1.0, 2.0, 3.0, 6.0), "sideways")
-
-    @pytest.mark.parametrize("order,bands", [
-        (A_BELOW_B, ((1.0, 2.0), (3.0, 6.0))),
-        (B_BELOW_A, ((3.0, 6.0), (1.0, 2.0))),
-    ])
-    def test_box_bands_are_a_then_b(self, order, bands):
-        box = SpectralBox(1.0, 2.0, 3.0, 6.0)
-        assert box_bands(box, order) == bands
-        (a_lo, a_hi), (b_lo, b_hi) = bands
-        sw = sandwich_from_box(box, order)
-        assert (sw.s, sw.t) == (b_lo / a_hi, b_hi / a_lo)
+    @pytest.mark.parametrize("case,bands,sandwich", [
+        ("a_below_b", ((1.0, 2.0), (3.0, 6.0)), (1.5, 6.0)),
+        ("b_below_a", ((3.0, 6.0), (1.0, 2.0)), (1 / 6, 2 / 3)),
+        ("a_below_b", ((1.0, 1.0), (4.0, 4.0)), (4.0, 4.0)),  # bands that are points
+    ], ids=["a_below_b-bands0", "b_below_a-bands1", "a_below_b-bands2"])
+    def test_box_sandwich_reads_a_then_b(self, case, bands, sandwich):
+        box = SpectralBox(*bands)
+        assert (box.a_band, box.b_band) == bands
+        sw = box.sandwich
+        assert (sw.s, sw.t) == sandwich
+        assert sw.regime == (ABOVE if case == "a_below_b" else BELOW)
 
     def test_uniform_box_of(self):
         a = SymPDMatrix(np.diag([1.0, 2.0]))
