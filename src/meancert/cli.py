@@ -14,15 +14,24 @@ import errno
 import io
 import json
 import math
+import operator
 import os
 import sys
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from . import certify
-from .certify import CATALOG_ORDER, CertReport, catalog, compare_constants, verify
+from .certify import (
+    CATALOG_ORDER,
+    BoundStatement,
+    CertReport,
+    catalog,
+    compare_constants,
+    verify,
+)
 from .eigen import DEFAULT_LOEWNER_TOL, MAX_DIM, SymPDMatrix
 from .errors import DomainError, InputError, NumericalError
 from .sandwich import PairContext
@@ -73,36 +82,72 @@ def load_matrix(path: str) -> SymPDMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _write(obj, newline: str) -> str:
+    """``obj``'s text at the indent ``newline`` opens; see ``_json``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _write(y, inner) for k, y in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_write(y, inner) for y in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json(obj) -> str:
     """Strict JSON (RFC 8259) with ``json.dumps(obj, indent=2)``'s text, but a
     non-finite float is written as null.  Dict keys must be strings; a value
     of any type ``json.dumps`` does not take raises TypeError."""
+    return _write(obj, "\n")
 
-    def write(obj, newline: str) -> str:
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
-        if obj is None:
-            return "null"
-        if obj is True or obj is False:
-            return "true" if obj else "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, float):
-            return float.__repr__(obj) if math.isfinite(obj) else "null"
-        inner = newline + "  "
-        if isinstance(obj, dict):
-            items = [encode_basestring_ascii(k) + ": " + write(y, inner) for k, y in obj.items()]
-            return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-        if isinstance(obj, (list, tuple)):
-            items = [write(y, inner) for y in obj]
-            return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    return write(obj, "\n")
+# A bound row's text before and after its constant, keyed by the statement's
+# other fields: the table's rows and their reasons are few, so it stays small
+_ROW_TEXT: dict = {}
+_ROW_KEY = operator.attrgetter(*(f.name for f in fields(BoundStatement) if f.name != "constant"))
+_ROW_INDENT = "\n    "
+_VERDICT = ('{\n        "holds": %s,\n        "min_eig": %s,\n'
+            '        "min_eig_normalized": %s\n      }')
+
+
+def _row_text(result) -> str:
+    """One row of ``emit_report``'s bounds, from its cached text around the constant."""
+    st, verdict = result.statement, result.verdict
+    key = _ROW_KEY(st)
+    around = _ROW_TEXT.get(key)
+    if around is None:
+        text = _write({"statement": {**vars(st), "constant": None}, "verdict": None},
+                      _ROW_INDENT)
+        # keys and strings are escaped, so only the key itself reads '"constant": '
+        head, _, tail = text.partition('"constant": null')
+        around = _ROW_TEXT[key] = (head + '"constant": ',
+                                   tail.removesuffix("null" + _ROW_INDENT + "}"))
+    head, tail = around
+    verdict_text = "null" if verdict is None else _VERDICT % (
+        _write(verdict.holds, ""), _write(verdict.min_eig, ""),
+        _write(verdict.min_eig_normalized, ""))
+    return head + _write(st.constant, "") + tail + verdict_text + _ROW_INDENT + "}"
 
 
 def emit_report(report: CertReport) -> str:
-    return _json(report.to_dict())
+    """``_json(report.to_dict())``'s text, each bound row from ``_row_text``."""
+    rows = ("[" + _ROW_INDENT + ("," + _ROW_INDENT).join(map(_row_text, report.results))
+            + "\n  ]") if report.results else "[]"
+    return ('{\n  "instance": ' + _write(report.instance, "\n  ")
+            + ',\n  "bounds": ' + rows
+            + ',\n  "comparison": ' + _write(report.comparison or None, "\n  ")
+            + ',\n  "findings": ' + _write(list(report.findings), "\n  ")
+            + ',\n  "overall_pass": ' + _write(report.overall_pass, "\n  ") + "\n}")
 
 
 def csv_header() -> list[str]:

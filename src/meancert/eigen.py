@@ -29,6 +29,9 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # Smallest dimension the round-robin kernel takes; below it the cyclic
 # kernel runs (README: the crossover timings, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
+# Most rotations of the cyclic kernel's sweep that one generated function
+# runs (README: the timings and the peak RSS that chose it)
+CYCLIC_ROTATION_BUDGET = 14
 
 
 # Straight-line code of one cyclic sweep per dimension, compiled on its first solve
@@ -59,9 +62,11 @@ def _generate_cyclic(n):
 
     Entry (i, j), i <= j, is the local ``a{i}_{j}``, and the upper triangle
     goes in and out as a tuple in row order.  ``off(u)`` sums 2 a_ij^2 over
-    i < j in row order; row p's function runs rotations (p, p + 1), ...,
-    (p, n - 1).  A function per row, not per sweep, bounds the compiler's
-    peak memory by one row's source.
+    i < j in row order.  The sweep's rotations (0, 1), (0, 2), ...,
+    (n - 2, n - 1) are cut into consecutive runs of at most
+    ``CYCLIC_ROTATION_BUDGET``, one function each: fewer calls per sweep
+    than one per pivot row, while the compiler's peak memory stays bounded
+    by one run's source.
     """
     def at(i, j):
         return f"a{min(i, j)}_{max(i, j)}"
@@ -72,16 +77,18 @@ def _generate_cyclic(n):
     namespace = {"sqrt": math.sqrt}
     exec(compile(f"def off(u):\n    {upper}= u\n    off = 0.0\n{sums}    return off\n",
                  f"<cyclic jacobi n={n} off-norm>", "exec"), namespace)
-    rows = []
-    for p in range(n - 1):
+    order = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    runs = []
+    for k in range(0, len(order), CYCLIC_ROTATION_BUDGET):
         body = "".join(_ROTATION.format(
             p=p, q=q, n=n, pp=at(p, p), qq=at(q, q), pq=at(p, q),
             updates="".join(_UPDATE.format(ip=at(i, p), iq=at(i, q))
-                            for i in range(n) if i not in (p, q))) for q in range(p + 1, n))
-        exec(compile(f"def row(u, w, rotate_floor):\n    {upper}= u\n{body}    return {upper}\n",
-                     f"<cyclic jacobi n={n} row {p}>", "exec"), namespace)
-        rows.append(namespace["row"])
-    return namespace["off"], tuple(rows)
+                            for i in range(n) if i not in (p, q)))
+            for p, q in order[k:k + CYCLIC_ROTATION_BUDGET])
+        exec(compile(f"def run(u, w, rotate_floor):\n    {upper}= u\n{body}    return {upper}\n",
+                     f"<cyclic jacobi n={n} rotations from {k}>", "exec"), namespace)
+        runs.append(namespace["run"])
+    return namespace["off"], tuple(runs)
 
 
 def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
@@ -103,7 +110,7 @@ def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
     n = len(a)
     if n not in _CYCLIC_CODE:
         _CYCLIC_CODE[n] = _generate_cyclic(n)
-    off, rows = _CYCLIC_CODE[n]
+    off, runs = _CYCLIC_CODE[n]
     rotate_floor = 0.01 * rel_tol * norm / (n * n)
     upper = [x for i, ai in enumerate(a) for x in ai[i:]]
     for sweep in range(max_sweeps + 1):
@@ -112,8 +119,8 @@ def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
         if sweep == max_sweeps:
             sweep = -1
             break
-        for row in rows:
-            upper = row(upper, w, rotate_floor)
+        for run in runs:
+            upper = run(upper, w, rotate_floor)
     for i, ai in enumerate(a):
         ai[i:], upper = upper[:n - i], upper[n - i:]
     return sweep
@@ -151,14 +158,14 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
     the rounding differs, at about 1e-15 relative.
 
     A round is 27 numpy calls (28 with V) on buffers allocated once per solve:
-    the work matrices and bases alternate as ``matmul`` outputs, J is one
+    the work matrices and bases alternate as ``dot`` outputs, J is one
     matrix whose previous pairs are zeroed before the next are written, and
     the vectors of a round are ``out=`` targets.
     """
     n = len(a)
     big = n + n % 2
     half = big // 2
-    # work matrices ping-ponged through matmul(out=), each with its flat view
+    # work matrices ping-ponged through dot(out=), each with its flat view
     x, x_next, y = np.zeros((big, big)), np.empty((big, big)), np.empty((big, big))
     x[:n, :n] = a
     x_flat, x_next_flat = x.reshape(-1), x_next.reshape(-1)
@@ -216,11 +223,11 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
                 j_flat[prev_off] = 0.0
                 j_flat[idx] = j_entries
                 prev_off = off_idx
-                np.matmul(jt, x, out=y)
-                np.matmul(y, j, out=x_next)
+                np.dot(jt, x, out=y)
+                np.dot(y, j, out=x_next)
                 x, x_next, x_flat, x_next_flat = x_next, x, x_next_flat, x_flat
                 if len(v):
-                    np.matmul(v, j, out=v_next)
+                    np.dot(v, j, out=v_next)
                     v, v_next = v_next, v
                 np.multiply(t, apq, out=t_apq)
                 np.subtract(app, t_apq, out=new_pp)
@@ -247,7 +254,7 @@ class SpectralDecomposition:
         return 0.5 * (m + m.T)
 
 
-def _as_square_float(x) -> np.ndarray:
+def _as_square(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")
@@ -255,9 +262,12 @@ def _as_square_float(x) -> np.ndarray:
         raise InputError("empty matrix")
     if arr.shape[0] > MAX_DIM:
         raise InputError(f"dimension {arr.shape[0]} exceeds cap {MAX_DIM}")
+    return arr
+
+
+def _require_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise InputError("matrix entries must be finite")
-    return arr
 
 
 def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
@@ -272,12 +282,14 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     convergence is off-diagonal Frobenius mass below 1e-14 times the matrix
     norm).
     """
-    arr = _as_square_float(x)
+    arr = _as_square(x)
     n = arr.shape[0]
     with np.errstate(over="ignore"):  # overflow is caught and reported below
         # np.sum's pairwise sum without its dispatch, so the same bits
         norm = math.sqrt(np.add.reduce(np.square(arr), axis=None))
     if not math.isfinite(norm):
+        # a finite norm has finite entries; this tells a bad entry from an overflow
+        _require_finite(arr)
         raise NumericalError("matrix Frobenius norm overflowed")
     a = 0.5 * (arr + arr.T)
     if n >= ROUND_ROBIN_MIN_DIM:
@@ -324,7 +336,8 @@ class SymPDMatrix:
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None):
-        arr = _as_square_float(entries)
+        arr = _as_square(entries)
+        _require_finite(arr)
         dec, margin = _decomp, 0.0
         if dec is None:  # a given decomposition's matrix is exactly symmetric
             scale = max(1.0, float(np.max(np.abs(arr))))
@@ -392,5 +405,6 @@ def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL) -> LoewnerVerdict:
     """
     dec = eig_sym(x, vectors=False)
     min_eig = float(dec.eigenvalues[0])
-    norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    r = np.asarray(x, dtype=float).ravel(order="K")
+    norm = math.sqrt(r.dot(r))  # np.linalg.norm's sum and root, without its dispatch
     return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, norm), min_eig)

@@ -62,7 +62,8 @@ class SandwichInterval:
 @dataclass(frozen=True)
 class SpectralBox:
     """A's band and B's band, each (lo, hi) with 0 < lo <= hi finite, and
-    disjoint: A lies wholly below B (the 'above' regime) or above it."""
+    disjoint: A lies wholly below B (the 'above' regime) or above it.  The
+    sandwich they imply must be positive and finite."""
 
     a_band: tuple[float, float]
     b_band: tuple[float, float]
@@ -73,6 +74,10 @@ class SpectralBox:
                 and (a_hi < b_lo or b_hi < a_lo)):
             raise DomainError("spectral box needs finite disjoint bands 0 < lo <= hi, "
                               f"got A in {self.a_band}, B in {self.b_band}")
+        # far-apart bands can still overflow or underflow the implied sandwich
+        if not (0.0 < b_lo / a_hi and b_hi / a_lo < math.inf):
+            raise DomainError("spectral box needs a sandwich b_lo / a_hi, b_hi / a_lo in "
+                              f"(0, inf), got A in {self.a_band}, B in {self.b_band}")
 
     @property
     def sandwich(self) -> SandwichInterval:

@@ -397,6 +397,30 @@ def test_each_dimension_is_compiled_once(monkeypatch):
     assert values_only.eigenvalues.tobytes() == first.eigenvalues.tobytes()
 
 
+def test_generated_runs_cover_the_cyclic_order_within_the_budget():
+    budget = eigen.CYCLIC_ROTATION_BUDGET
+    for n in range(1, eigen.ROUND_ROBIN_MIN_DIM):
+        _, runs = eigen._generate_cyclic(n)
+        # entry (i, j) holds 1 + 100 i + j; under an infinite floor every rotation
+        # stops at its threshold test, whose abs() call records the pair
+        upper = tuple(1.0 + 100 * i + j for i in range(n) for j in range(i, n))
+        seen = []
+
+        def record(x):
+            seen[-1].append(divmod(int(x) - 1, 100))
+            return abs(x)
+
+        for run in runs:
+            run.__globals__["abs"] = record
+            seen.append([])
+            assert run(upper, [], math.inf) == upper
+        assert [pq for rotations in seen for pq in rotations] == [
+            (p, q) for p in range(n - 1) for q in range(p + 1, n)]
+        # every run but the last is full, so a sweep makes as few calls as the budget allows
+        assert all(len(rotations) == budget for rotations in seen[:-1])
+        assert all(0 < len(rotations) <= budget for rotations in seen)
+
+
 _RSS_OF_FIRST_SOLVES = """
 import resource, numpy as np
 from meancert.eigen import eig_sym
@@ -417,9 +441,10 @@ _LAUNCH = ("import subprocess, sys; "
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_first_solves_at_n14_raise_peak_rss_by_under_4mb():
-    # one function per pivot row compiles a row's source at a time: about
-    # 2 MB here, where one function for the whole sweep took about 17 MB;
-    # the compile always adds some, so 0 would mean a masked baseline
+    # one function per run of at most CYCLIC_ROTATION_BUDGET rotations compiles
+    # a run's source at a time: about 2.7 MB here, where one function for the
+    # whole sweep took about 17 MB; the compile always adds some, so 0 would
+    # mean a masked baseline
     src = os.path.dirname(os.path.dirname(eigen.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", _LAUNCH, _RSS_OF_FIRST_SOLVES], env=env,

@@ -3,13 +3,15 @@ non-finite float written as null, and refuses what ``json.dumps`` refuses."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from meancert import certify, cli
 from meancert.cli import EXIT_PASS, main
-from meancert.eigen import DEFAULT_LOEWNER_TOL
+from meancert.eigen import DEFAULT_LOEWNER_TOL, SymPDMatrix
+from meancert.sandwich import PairContext
 
 
 def finite_or_null(x):
@@ -44,6 +46,51 @@ def test_check_report_is_the_stdlib_text(case, n):
     if case == "above-wide" and n > 1:
         assert math.isinf(report.comparison["dragomir"])
     assert cli.emit_report(report) == reference(report.to_dict())
+
+
+def _row_state(result):
+    """What a bound row's text depends on besides its numbers."""
+    st, verdict = result.statement, result.verdict
+    if verdict is not None:
+        return "holds" if verdict.holds else "fails"
+    return "not checkable" if st.applicability_reason.startswith("not checkable") else "gated"
+
+
+def test_every_row_state_is_the_stdlib_text(monkeypatch):
+    tol = DEFAULT_LOEWNER_TOL
+    reports = [cli.certify_pair(*certify.gen_instance(3, s0, t0, 11), v, tol)
+               for s0, t0, v in [(0.5, 3.0, 0.5), (0.2, 0.8, -0.3), (1.5, 6.0, 1.5)]]
+    # the dragomir residual overflows: its row reads "not checkable in floating point"
+    reports.append(cli.certify_pair(SymPDMatrix(np.eye(2)), SymPDMatrix(np.diag([60.0, 66.0])),
+                                     0.5, tol))
+    real_catalog = cli.catalog
+
+    def doubled(sw, v, **kwargs):
+        return [replace(b, constant=2 * b.constant) if b.name in ("young.classical", "zuo")
+                else b for b in real_catalog(sw, v, **kwargs)]
+
+    monkeypatch.setattr(cli, "catalog", doubled)
+    reports.append(cli.certify_pair(*certify.gen_instance(3, 1.5, 6.0, 11), 0.5, tol))
+    assert [r.instance["regime"] for r in reports] == [
+        "straddle", "below", "above", "above", "above"]
+    assert not reports[-1].overall_pass and reports[-1].findings
+    assert {_row_state(r) for report in reports for r in report.results} == {
+        "holds", "fails", "gated", "not checkable"}
+    for report in reports:
+        assert cli.emit_report(report) == json.dumps(report.to_dict(), indent=2)
+
+
+def test_row_text_cache_holds_one_entry_per_row_state(monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_TEXT", {})
+    pair = PairContext(*certify.gen_instance(2, 1.5, 6.0, 12))
+    states = set()
+    for v in np.linspace(-1.0, 2.0, 2000):
+        report = cli.certify_weight(pair, float(v), DEFAULT_LOEWNER_TOL)
+        cli.emit_report(report)
+        states.update((r.statement.name, r.statement.applicability_reason)
+                      for r in report.results)
+    # every weight's constants differ, and none of them is a key
+    assert len(cli._ROW_TEXT) == len(states) < 3 * len(certify.TABLE)
 
 
 def test_compare_grid_up_to_1e300_is_the_stdlib_text(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meancert.certify import gen_instance
+from meancert.certify import TABLE, catalog, gen_instance
 from meancert.eigen import SymPDMatrix, loewner_geq_zero
 from meancert.errors import DomainError
 from meancert.sandwich import (
@@ -130,6 +130,20 @@ class TestBoxes:
     def test_spectral_box_needs_finite_ends(self, a_band, b_band):
         with pytest.raises(DomainError, match="spectral box needs finite"):
             SpectralBox(a_band, b_band)
+
+    @pytest.mark.parametrize("a_band,b_band", [
+        ((1e-300, 1e-300), (1e300, 1e300)),  # b_hi / a_lo overflows to inf
+        ((1e300, 1e300), (1e-300, 1e-300)),  # b_lo / a_hi underflows to 0
+    ], ids=["a_below_b", "b_below_a"])
+    def test_spectral_box_needs_a_finite_positive_sandwich(self, a_band, b_band):
+        with pytest.raises(DomainError, match="spectral box needs a sandwich") as exc:
+            SpectralBox(a_band, b_band)
+        assert f"got A in {a_band}, B in {b_band}" in str(exc.value)
+        # bands as far apart as the sandwich allows still build and catalog
+        lo, hi = (1e-300, 1e7) if a_band[0] < b_band[0] else (1e7, 1e-300)
+        box = SpectralBox((lo, lo), (hi, hi))
+        assert 0.0 < box.sandwich.s <= box.sandwich.t < math.inf
+        assert len(catalog(SandwichInterval(0.5, 2.0), 0.5, spectral_box=box)) == len(TABLE)
 
     @pytest.mark.parametrize("m,M", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
                                      (math.inf, math.inf)])
