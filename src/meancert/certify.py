@@ -17,7 +17,9 @@ bound that overflows is a numerical failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .eigen import (
     MAX_DIM,
     LoewnerVerdict,
     SymPDMatrix,
+    _frobenius_norm,
     loewner_geq_zero,
     mat_fpow,
 )
@@ -83,22 +86,22 @@ class CertReport:
     results: tuple
     comparison: dict | None
 
-    def _failed(self, literature: bool) -> list[BoundResult]:
-        return [r for r in self.results
-                if r.verdict is not None and not r.verdict.holds
-                and r.statement.literature == literature]
+    @cached_property
+    def _failed(self) -> tuple:
+        """The rows whose bound did not hold, found in one scan of the results."""
+        return tuple(r for r in self.results if r.verdict is not None and not r.verdict.holds)
 
     @property
     def overall_pass(self) -> bool:
         """Every applicable bound holds, literature bounds aside."""
-        return not self._failed(literature=False)
+        return all(r.statement.literature for r in self._failed)
 
     @property
     def findings(self) -> tuple:
         """One line per violated literature bound: a finding, not a failure."""
         return tuple(f"literature bound {r.statement.name} violated: "
                      f"min residual eigenvalue {r.verdict.min_eig:.6e}"
-                     for r in self._failed(literature=True))
+                     for r in self._failed if r.statement.literature)
 
     def to_dict(self) -> dict:
         return {
@@ -250,6 +253,11 @@ TABLE = (
 
 CATALOG_ORDER = tuple(row[0] for row in TABLE)
 
+# An inapplicable row's statement, keyed by (name, reason): it depends on
+# nothing else, and statements are frozen, so each is built once and shared.
+# A gate has few reasons, so this stays small.
+_INAPPLICABLE: dict[tuple[str, str], BoundStatement] = {}
+
 
 def catalog(
     sw: SandwichInterval,
@@ -266,12 +274,19 @@ def catalog(
     out = []
     for name, form, side, relation, ref, literature, source, gate, constant in TABLE:
         reason = gate(p)
+        if reason:
+            st = _INAPPLICABLE.get((name, reason))
+            if st is None:
+                st = _INAPPLICABLE[name, reason] = BoundStatement(
+                    name, form, side, relation, None, ref, False, reason, source, literature)
+            out.append(st)
+            continue
         try:
-            value = None if reason else constant(p)
+            value = constant(p)
         except OverflowError as exc:  # Python's float power
             raise NumericalError(f"bound {name}: constant overflowed at weight {v}") from exc
-        out.append(BoundStatement(name, form, side, relation, value, ref, not reason,
-                                  reason, source, literature))
+        out.append(BoundStatement(name, form, side, relation, value, ref, True, "", source,
+                                  literature))
     return out
 
 
@@ -290,11 +305,12 @@ def _residual(bound: BoundStatement, nabla, sharp, harm, amat) -> np.ndarray:
 def _loewner_check(res: np.ndarray, constant: float,
                    tol_rel: float) -> tuple[LoewnerVerdict, float]:
     """The Loewner verdict on a residual and the scale max(1, ||R||_F) it was judged at."""
-    # verify ignores overflow and invalid values here: a NaN norm is kept, and reported
-    scale = float(np.maximum(1.0, np.linalg.norm(res)))
-    if not np.isfinite(scale):
-        raise NumericalError(f"{'constant' if np.isinf(constant) else 'residual'} overflowed")
-    return loewner_geq_zero(res, tol_rel), scale
+    norm = _frobenius_norm(res)
+    # verify ignores overflow and invalid values here: an inf or NaN norm is
+    # reported (max(1.0, nan) would be 1.0, so it is tested first)
+    if not math.isfinite(norm):
+        raise NumericalError(f"{'constant' if math.isinf(constant) else 'residual'} overflowed")
+    return loewner_geq_zero(res, tol_rel), max(1.0, norm)
 
 
 def verify(
@@ -320,25 +336,26 @@ def verify(
             if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
     checked: dict[bytes, tuple[LoewnerVerdict, float]] = {}
     results = []
-    for bound in bounds:
-        if not bound.applicable:
-            results.append(BoundResult(bound, None))
-            continue
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+        for bound in bounds:
+            if not bound.applicable:
+                results.append(BoundResult(bound, None))
+                continue
+            try:
                 res = _residual(bound, nabla, sharp, harm, pair.a.mat)
                 key = (res + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: equal residuals share a key
                 if key not in checked:
                     checked[key] = _loewner_check(res, bound.constant, tol_rel)
-            lv, scale = checked[key]
-        except NumericalError as exc:
-            if not bound.literature:
-                raise NumericalError(f"bound {bound.name}: {exc}") from exc
-            results.append(BoundResult(replace(
-                bound, constant=None, applicable=False,
-                applicability_reason=f"not checkable in floating point: {exc}"), None))
-            continue
-        results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig, lv.min_eig / scale)))
+                lv, scale = checked[key]
+            except NumericalError as exc:
+                if not bound.literature:
+                    raise NumericalError(f"bound {bound.name}: {exc}") from exc
+                results.append(BoundResult(replace(
+                    bound, constant=None, applicable=False,
+                    applicability_reason=f"not checkable in floating point: {exc}"), None))
+                continue
+            results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig,
+                                                      lv.min_eig / scale)))
     return CertReport(instance=instance or {}, results=tuple(results), comparison=comparison)
 
 

@@ -18,8 +18,8 @@ import operator
 import os
 import sys
 from dataclasses import fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -57,11 +57,16 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
+# the exact types of a number that json.loads returns
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def load_matrix(path: str) -> SymPDMatrix:
     """Parse a matrix file and build the PD matrix it describes; every way
     the file can be unusable is an InputError naming it."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            obj = json.loads(f.read())
         if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
             raise InputError("expected an object with 'dim' and 'data'")
         dim = obj["dim"]
@@ -72,7 +77,7 @@ def load_matrix(path: str) -> SymPDMatrix:
         if arr.shape != (dim, dim):
             raise InputError(f"'data' shape {arr.shape} does not match dim {dim}")
         # numpy would also parse strings, booleans and null (as NaN) into floats
-        if any(type(x) not in (int, float) for row in data for x in row):
+        if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(data))):
             raise InputError("'data' entries must be JSON numbers")
     except (OSError, ValueError, TypeError, OverflowError, RecursionError, InputError) as exc:
         raise InputError(f"{path}: {_reason(exc)}") from exc
@@ -84,6 +89,8 @@ def load_matrix(path: str) -> SymPDMatrix:
 
 def _write(obj, newline: str) -> str:
     """``obj``'s text at the indent ``newline`` opens; see ``_json``."""
+    if isinstance(obj, float):  # the most common value, and no str, bool or int is one
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -92,8 +99,6 @@ def _write(obj, newline: str) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
     inner = newline + "  "
     if isinstance(obj, dict):
         items = [encode_basestring_ascii(k) + ": " + _write(y, inner) for k, y in obj.items()]

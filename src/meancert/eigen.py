@@ -32,6 +32,9 @@ ROUND_ROBIN_MIN_DIM = 15
 # Most rotations of the cyclic kernel's sweep that one generated function
 # runs (README: the timings and the peak RSS that chose it)
 CYCLIC_ROTATION_BUDGET = 14
+# Largest dimension whose symmetrization before the cyclic kernel runs on
+# Python floats rather than through two numpy calls, the faster way up to it
+_LIST_SYMMETRIZE_MAX_DIM = 6
 
 
 # Straight-line code of one cyclic sweep per dimension, compiled on its first solve
@@ -291,23 +294,40 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
         # a finite norm has finite entries; this tells a bad entry from an overflow
         _require_finite(arr)
         raise NumericalError("matrix Frobenius norm overflowed")
-    a = 0.5 * (arr + arr.T)
     if n >= ROUND_ROBIN_MIN_DIM:
+        a = 0.5 * (arr + arr.T)
         vec = np.eye(n) if vectors else np.zeros((0, n))
         sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
         diag = a.diagonal().tolist()
     else:
-        # the rows of V^T start as the identity's, built only when vectors are asked for
-        a_rows, w_rows = a.tolist(), np.eye(n).tolist() if vectors else []
+        if n > _LIST_SYMMETRIZE_MAX_DIM:
+            a_rows = (0.5 * (arr + arr.T)).tolist()
+        else:
+            # (X + X^T) / 2 on the upper triangle, all the kernel reads, by
+            # numpy's float operations; on the diagonal (x + x) / 2 is x, as
+            # x + x cannot overflow under a finite norm
+            a_rows = arr.tolist()
+            for i, row in enumerate(a_rows):
+                for j in range(i + 1, n):
+                    row[j] = 0.5 * (row[j] + a_rows[j][i])
+        w_rows = []
+        if vectors:  # the rows of V^T start as the identity's
+            w_rows = [[0.0] * n for _ in range(n)]
+            for i, row in enumerate(w_rows):
+                row[i] = 1.0
         sweeps = _jacobi_kernel(a_rows, w_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
         diag = [row[i] for i, row in enumerate(a_rows)]
-        vec = np.array(w_rows).T if vectors else None
     if sweeps < 0:
         raise NumericalError(
             f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
         )
-    order = sorted(range(n), key=diag.__getitem__)  # stable: equal values keep their order
-    basis = np.ascontiguousarray(vec[:, order]) if vectors else None
+    if not vectors:  # sorted is stable, so equal values keep their order (and sign of zero)
+        return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
+    order = sorted(range(n), key=diag.__getitem__)
+    if n >= ROUND_ROBIN_MIN_DIM:
+        basis = np.ascontiguousarray(vec[:, order])
+    else:  # row i of V^T is eigenvector i; copy() makes the transpose C-contiguous
+        basis = np.array([w_rows[i] for i in order]).T.copy()
     return SpectralDecomposition(np.array([diag[i] for i in order]), basis, sweeps)
 
 
@@ -337,19 +357,25 @@ class SymPDMatrix:
 
     def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None):
         arr = _as_square(entries)
-        _require_finite(arr)
         dec, margin = _decomp, 0.0
         if dec is None:  # a given decomposition's matrix is exactly symmetric
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            asym = float(np.max(np.abs(arr - arr.T)))
+            top = float(np.abs(arr).max())
+            if not math.isfinite(top):  # a NaN or inf entry, which the scan reports
+                _require_finite(arr)
+            scale = max(1.0, top)
+            # X - X^T is exactly antisymmetric, so its largest entry is its largest magnitude
+            asym = float((arr - arr.T).max())
             if asym > SYMMETRY_REL_TOL * scale:
                 raise InputError(
                     f"matrix is not symmetric: max asymmetry {asym:.3e} "
                     f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
                 )
             # halve before adding so near-overflow entries survive symmetrization
-            arr = arr * 0.5 + arr.T * 0.5
+            half = arr * 0.5
+            arr = half + half.T
             dec, margin = eig_sym(arr), PD_REL_MARGIN
+        else:
+            _require_finite(arr)
         require_pd(dec.eigenvalues, margin)
         self.mat = arr
         self.dim = arr.shape[0]
@@ -391,6 +417,14 @@ def check_same_dim(a: SymPDMatrix, b: SymPDMatrix):
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _frobenius_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``'s bits: the root of r . r over the raveled
+    entries, without its dispatch.  Inf or NaN when an entry is, or when
+    the sum overflows."""
+    r = x.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
 @dataclass(frozen=True)
 class LoewnerVerdict:
     holds: bool
@@ -405,6 +439,5 @@ def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL) -> LoewnerVerdict:
     """
     dec = eig_sym(x, vectors=False)
     min_eig = float(dec.eigenvalues[0])
-    r = np.asarray(x, dtype=float).ravel(order="K")
-    norm = math.sqrt(r.dot(r))  # np.linalg.norm's sum and root, without its dispatch
+    norm = _frobenius_norm(np.asarray(x, dtype=float))
     return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, norm), min_eig)

@@ -9,11 +9,15 @@ arithmetic mean has nothing to reuse and takes the matrices.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .eigen import PD_REL_MARGIN, SymPDMatrix, check_same_dim, congruence, eig_sym, require_pd
 from .errors import DomainError, MeanCertError, NumericalError
 from .sandwich import PairContext
+
+_TINY = sys.float_info.min  # the smallest normal float, np.finfo(float).tiny
 
 
 def op_nabla(a: SymPDMatrix, b: SymPDMatrix, v: float) -> np.ndarray:
@@ -44,7 +48,7 @@ def op_sharp(pair: PairContext, v: float) -> np.ndarray:
     """
     with np.errstate(over="ignore", under="ignore"):
         powers = np.power(pair.relative.eigenvalues, v)
-    if not np.all((powers >= np.finfo(float).tiny) & (powers < np.inf)):
+    if not (powers.min() >= _TINY and powers.max() < np.inf):
         lost = "overflowed" if np.any(powers == np.inf) else "underflowed"
         raise NumericalError(
             f"geometric mean at weight {v}: relative spectrum to the power {v} {lost}")

@@ -105,24 +105,24 @@ class UniformBox:
         return self.M - self.m <= REGIME_TIE_TOL * self.M
 
 
-def relative_spectrum(a_inv_half: np.ndarray, b: SymPDMatrix,
-                      vectors: bool = True) -> SpectralDecomposition:
-    """Eigendecomposition of A^(-1/2) B A^(-1/2) from A^(-1/2): its ends bound
-    B by A, its powers give A#_vB.
+def relative_spectrum(c: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
+    """Eigendecomposition of C = A^(-1/2) B A^(-1/2): its ends bound B by A,
+    its powers give A#_vB.
 
     The relative spectrum of a PD pair is positive, so a computed one that
     is not is a NumericalError: the pair is too ill-conditioned to resolve.
     """
-    dec = eig_sym(congruence(b.mat, a_inv_half), vectors=vectors)
+    dec = eig_sym(c, vectors=vectors)
     if dec.eigenvalues[0] <= 0.0:
         raise NumericalError(
             f"relative spectrum lost positivity: smallest eigenvalue {dec.eigenvalues[0]:.6e}")
     return dec
 
 
-def sandwich_of(a_inv_half: np.ndarray, b: SymPDMatrix) -> SandwichInterval:
-    """Tight sandwich scalars from A^(-1/2): the ends of the relative spectrum of (A, B)."""
-    lam = relative_spectrum(a_inv_half, b, vectors=False).eigenvalues
+def sandwich_of(c: np.ndarray) -> SandwichInterval:
+    """Tight sandwich scalars from C = A^(-1/2) B A^(-1/2): the ends of the
+    relative spectrum of (A, B)."""
+    lam = relative_spectrum(c, vectors=False).eigenvalues
     return SandwichInterval(float(lam[0]), float(lam[-1]))
 
 
@@ -130,14 +130,16 @@ class PairContext:
     """Everything about a pair (A, B) that no weight changes, each part
     computed on first use and then kept for every later weight.
 
-    The parts are A^(-1/2), the sandwich, the relative spectrum with its
-    eigenvectors, A^(1/2) and the uniform box, each computed by the same
-    operations as for a single weight, so every weight's report has the same
-    bits as a one-weight run.  The sandwich keeps its own eigenvalues-only
-    solve (perfbench pins a one-weight report at 11 eigensolves), so a pair
-    solves its relative spectrum twice in all.  Nothing is checked or solved
-    when the context is made: the first use raises whatever its part raises,
-    and the sandwich and relative spectrum check the dimensions first.
+    The parts are C = A^(-1/2) B A^(-1/2), the sandwich, the relative
+    spectrum with its eigenvectors, A^(1/2) and the uniform box, each
+    computed by the same operations as for a single weight, so every
+    weight's report has the same bits as a one-weight run.  C is formed
+    once and both solves of it read it.  The sandwich keeps its own
+    eigenvalues-only solve (perfbench pins a one-weight report at 11
+    eigensolves), so a pair solves its relative spectrum twice in all.
+    Nothing is checked or solved when the context is made: the first use
+    raises whatever its part raises, and forming C checks the dimensions
+    first.
     """
 
     def __init__(self, a: SymPDMatrix, b: SymPDMatrix):
@@ -145,17 +147,17 @@ class PairContext:
         self.b = b
 
     @cached_property
-    def a_inv_half(self) -> np.ndarray:
+    def relative_matrix(self) -> np.ndarray:
         check_same_dim(self.a, self.b)
-        return mat_fpow(self.a, -0.5).mat
+        return congruence(self.b.mat, mat_fpow(self.a, -0.5).mat)
 
     @cached_property
     def sandwich(self) -> SandwichInterval:
-        return sandwich_of(self.a_inv_half, self.b)
+        return sandwich_of(self.relative_matrix)
 
     @cached_property
     def relative(self) -> SpectralDecomposition:
-        return relative_spectrum(self.a_inv_half, self.b)
+        return relative_spectrum(self.relative_matrix)
 
     @cached_property
     def a_half(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from meancert.certify import (
 )
 from meancert.means import op_harm, op_nabla, op_sharp
 from meancert.eigen import DEFAULT_LOEWNER_TOL, SymPDMatrix, loewner_geq_zero
-from meancert.errors import DomainError, InputError
+from meancert.errors import DomainError, InputError, NumericalError
 from meancert.sandwich import (
     ABOVE,
     BELOW,
@@ -405,6 +405,111 @@ class TestHarmonicMeanBuild:
         with pytest.raises(DomainError, match="harmonic mean needs weight in"):
             verify(PairContext(a, b), 1.5, [harm_lower])
         assert calls == [1.5]
+
+
+# (s0, t0) of a gen_instance pair in each regime; "extended" is read at
+# weights outside [0, 1]
+REGIME_PAIRS = {"below": (0.2, 0.7), "above": (1.5, 6.0), "straddle": (0.5, 3.0),
+                "extended": (0.4, 2.5)}
+
+
+def fresh_statement(name, reason):
+    """The inapplicable statement of a table row, built anew."""
+    row = next(r for r in certify.TABLE if r[0] == name)
+    _, form, side, relation, ref, literature, source, _, _ = row
+    return certify.BoundStatement(name, form, side, relation, None, ref, False, reason,
+                                  source, literature)
+
+
+class TestSharedInapplicableStatements:
+    """An inapplicable statement depends only on its row and reason, so the
+    catalog builds each once and shares it."""
+
+    @pytest.mark.parametrize("s,t,v,box", [
+        (0.2, 0.8, 0.5, False), (1.5, 6.0, 0.3, True), (0.5, 2.0, 0.5, True),
+        (0.5, 2.0, 1.5, False), (1.5, 6.0, -0.5, True),
+    ])
+    def test_each_equals_a_statement_built_fresh(self, s, t, v, box):
+        ubox = UniformBox(0.5, 4.0) if box else None
+        sbox = BOXES["a_below_b"] if box else None
+        bounds = catalog(SandwichInterval(s, t), v, uniform_box=ubox, spectral_box=sbox)
+        inapplicable = [b for b in bounds if not b.applicable]
+        assert inapplicable
+        for b in inapplicable:
+            assert b == fresh_statement(b.name, b.applicability_reason)
+
+    def test_two_catalogs_in_one_gate_state_share_them(self):
+        sw = SandwichInterval(1.5, 6.0)
+        first, second = catalog(sw, 0.3), catalog(sw, 0.7)
+        assert [b.applicability_reason for b in first] == [
+            b.applicability_reason for b in second]
+        for x, y in zip(first, second):
+            assert (x is y) == (not x.applicable)
+
+    def test_a_long_sweep_keeps_one_entry_per_row_and_reason(self, monkeypatch):
+        monkeypatch.setattr(certify, "_INAPPLICABLE", {})
+        states = set()
+        for k, (s0, t0) in enumerate(REGIME_PAIRS.values()):
+            pair = PairContext(*gen_instance(2, s0, t0, 30 + k))
+            for v in np.linspace(-1.0, 2.0, 2000):
+                bounds = catalog(pair.sandwich, float(v), uniform_box=pair.uniform_box)
+                states.update((b.name, b.applicability_reason)
+                              for b in bounds if not b.applicable)
+        assert set(certify._INAPPLICABLE) == states
+        assert len(states) < 2 * len(certify.TABLE)
+
+    def test_a_not_checkable_row_leaves_them_unchanged(self):
+        pair = PairContext(SymPDMatrix(np.eye(2)), SymPDMatrix(np.diag([60.0, 66.0])))
+        bounds = catalog(pair.sandwich, 0.5)
+        before = {key: (st, dict(vars(st))) for key, st in certify._INAPPLICABLE.items()}
+        report = verify(pair, 0.5, bounds)
+        dragomir = by_name(r.statement for r in report.results)["dragomir"]
+        assert dragomir.applicability_reason == (
+            "not checkable in floating point: residual overflowed")
+        assert ("dragomir", dragomir.applicability_reason) not in certify._INAPPLICABLE
+        for key, (st, fields) in before.items():
+            assert certify._INAPPLICABLE[key] is st and vars(st) == fields
+        # the next report's dragomir row is checkable, and its shared rows as built fresh
+        nxt = catalog(SandwichInterval(1.5, 6.0), 0.5)
+        assert by_name(nxt)["dragomir"].applicable
+        for st in nxt:
+            if not st.applicable:
+                assert st == fresh_statement(st.name, st.applicability_reason)
+
+
+class TestLoewnerScale:
+    """``_loewner_check`` judges a residual at max(1, ||R||_F); an inf or NaN
+    norm is an overflow, named after the constant when it is inf."""
+
+    @staticmethod
+    def check(res, constant=2.0):
+        with np.errstate(over="ignore", invalid="ignore"):  # as verify calls it
+            return certify._loewner_check(np.asarray(res, dtype=float), constant,
+                                          DEFAULT_LOEWNER_TOL)
+
+    @pytest.mark.parametrize("res,scale", [
+        (np.diag([0.5, 0.0]), 1.0),
+        (np.diag([0.0, -1.0]), 1.0),
+        (np.diag([3.0, -4.0]), 5.0),
+        ([[1.0, 2.0], [2.0, 0.0]], 3.0),
+    ], ids=["below-1", "at-1", "above-1", "off-diagonal"])
+    def test_scale_is_one_or_the_norm(self, res, scale):
+        verdict, got = self.check(res)
+        assert type(got) is float and got == scale
+        assert verdict == loewner_geq_zero(np.asarray(res, dtype=float), DEFAULT_LOEWNER_TOL)
+
+    @pytest.mark.parametrize("res", [
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1e200, 0.0], [0.0, 1.0]],  # finite entries whose squares overflow
+        [[math.nan, 0.0], [0.0, 1.0]],  # max(1.0, nan) is 1.0: the norm is tested first
+        [[0.5, math.nan], [math.nan, 0.5]],
+    ], ids=["inf", "square-overflow", "nan", "nan-below-1"])
+    @pytest.mark.parametrize("constant,message", [
+        (2.0, "residual overflowed"), (math.inf, "constant overflowed"),
+    ], ids=["finite-constant", "inf-constant"])
+    def test_a_non_finite_norm_is_an_overflow(self, res, constant, message):
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            self.check(res, constant)
 
 
 class TestCompareConstants:

@@ -737,3 +737,14 @@ def test_closed_stdout_exits_2_with_one_line(tmp_path, argv):
         os.close(write_end)
     assert out.returncode == EXIT_INPUT
     assert out.stderr == "error: stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("suffix,reason", [
+    (os.sep, "Not a directory"), (os.sep + os.curdir, "Not a directory"),
+], ids=["trailing-separator", "dot-under-file"])
+def test_matrix_path_is_read_as_open_reads_it(tmp_path, capsys, suffix, reason):
+    # as for --out: a trailing separator names a directory, and a.json/. lies in a.json
+    a = write_matrix(tmp_path / "a.json", A_2x2)
+    b = write_matrix(tmp_path / "b.json", B_2x2)
+    assert main(["check", "--matrix-a", a + suffix, "--matrix-b", b, "--v", "0.5"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {a}{suffix}: {reason}\n"

@@ -378,6 +378,28 @@ def test_cyclic_kernel_matches_reference_bit_for_bit(name, x):
         assert w.T.tobytes() == ref_vec.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, eigen._LIST_SYMMETRIZE_MAX_DIM + 3))
+def test_symmetrizing_on_python_floats_keeps_numpy_bits(monkeypatch, n):
+    # an asymmetric matrix, signed zeros on the diagonal and across it, and a
+    # tiny entry: (X + X^T) / 2 must round as numpy rounds it
+    rng = np.random.default_rng(40 + n)
+    x = rng.standard_normal((n, n)) * np.exp(rng.uniform(-3.0, 3.0, (n, n)))
+    x[0, 0] = -0.0
+    if n > 1:
+        x[0, 1], x[1, 0] = 0.0, -0.0
+    if n > 2:
+        x[2, 0] = 5e-324
+    solves = [(eig_sym(x), eig_sym(x, vectors=False))]
+    monkeypatch.setattr(eigen, "_LIST_SYMMETRIZE_MAX_DIM", 0)  # numpy for every n
+    solves.append((eig_sym(x), eig_sym(x, vectors=False)))
+    (full, values), (ref_full, ref_values) = solves
+    assert full.sweeps == values.sweeps == ref_full.sweeps == ref_values.sweeps
+    assert full.eigenvalues.tobytes() == ref_full.eigenvalues.tobytes()
+    assert values.eigenvalues.tobytes() == ref_values.eigenvalues.tobytes()
+    assert full.basis.tobytes() == ref_full.basis.tobytes()
+    assert full.basis.flags.c_contiguous
+
+
 def test_each_dimension_is_compiled_once(monkeypatch):
     generate, generated = eigen._generate_cyclic, []
 

@@ -98,6 +98,36 @@ def test_sweep_solves_the_relative_spectrum_twice_in_all(tmp_path, eig_calls, k)
     assert [c for c in work if c[0] != relative] == per_weight
 
 
+@pytest.fixture
+def congruences(monkeypatch):
+    """Every congruence the sandwich module forms: C = A^(-1/2) B A^(-1/2) is its only one."""
+    calls, real = [], sandwich.congruence
+
+    def spy(x, c):
+        calls.append((np.asarray(x, dtype=float).tobytes(), np.asarray(c, dtype=float).tobytes()))
+        return real(x, c)
+
+    monkeypatch.setattr(sandwich, "congruence", spy)
+    return calls
+
+
+def test_sandwich_then_relative_spectrum_form_c_once(congruences):
+    a, b = certify.gen_instance(4, *PAIRS["straddle"], 21)
+    pair = sandwich.PairContext(a, b)
+    assert congruences == []
+    pair.sandwich
+    assert congruences == [(b.mat.tobytes(), mat_fpow(a, -0.5).mat.tobytes())]
+    pair.relative
+    assert len(congruences) == 1
+
+
+@pytest.mark.parametrize("k", [1, 5, 21])
+def test_sweep_forms_c_once_in_all(tmp_path, congruences, k):
+    a_path, b_path = _pair_files(tmp_path, 4, "straddle")
+    assert _sweep(a_path, b_path, ("-0.5", "1.5", str(k)), tmp_path / "s.csv") == EXIT_PASS
+    assert len(congruences) == 1
+
+
 def test_making_a_context_solves_nothing(eig_calls):
     a, b = certify.gen_instance(3, 0.5, 3.0, 4)
     eig_calls.clear()
