@@ -27,6 +27,7 @@ from . import scalars
 from .eigen import (
     DEFAULT_LOEWNER_TOL,
     MAX_DIM,
+    ROUND_ROBIN_MIN_DIM,
     LoewnerVerdict,
     SymPDMatrix,
     _frobenius_norm,
@@ -313,6 +314,20 @@ def _loewner_check(res: np.ndarray, constant: float,
     return loewner_geq_zero(res, tol_rel), max(1.0, norm)
 
 
+def _stacked_checks(residuals: dict, tol_rel: float) -> dict:
+    """``_loewner_check``'s result for each residual of finite norm, keyed as
+    given, from one stacked ``loewner_geq_zero``; a solve that failed has its
+    NumericalError in place of the verdict.  Those residuals are moved out of
+    ``residuals`` into the stack, so each is held once.  A residual whose
+    norm is not finite stays: its rows report the overflow as they reach it."""
+    norms = {key: _frobenius_norm(res) for key, res in residuals.items()}
+    keys = [key for key, norm in norms.items() if math.isfinite(norm)]
+    if not keys:
+        return {}
+    verdicts = loewner_geq_zero(np.stack([residuals.pop(key) for key in keys]), tol_rel)
+    return {key: (lv, max(1.0, norms[key])) for key, lv in zip(keys, verdicts)}
+
+
 def verify(
     pair: PairContext,
     v: float,
@@ -327,26 +342,39 @@ def verify(
     checked at ``tol_rel``; the smallest eigenvalue of R is reported raw and
     divided by max(1, ||R||_F), the scale the check compares it against.
     Rows whose residuals are equal, up to the signs of zero entries, share
-    one check and so one verdict; only checks that returned are kept, so a
-    row that raises raises in table order.
+    one check and so one verdict.  Every residual is built first.  From
+    ``ROUND_ROBIN_MIN_DIM`` up the distinct ones are checked as one stack;
+    below it each is checked when a row first reaches it, and only checks
+    that returned are kept.  The rows are read in table order either way,
+    so a row that raises raises in table order.
     """
     nabla = op_nabla(pair.a, pair.b, v)
     sharp = op_sharp(pair, v)
     harm = (op_harm(pair, v)
             if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
-    checked: dict[bytes, tuple[LoewnerVerdict, float]] = {}
-    results = []
+    residuals: dict[bytes, np.ndarray] = {}
+    rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
         for bound in bounds:
-            if not bound.applicable:
+            key = None
+            if bound.applicable:
+                res = _residual(bound, nabla, sharp, harm, pair.a.mat)
+                key = (res + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: equal residuals share a key
+                residuals.setdefault(key, res)
+            rows.append((bound, key))
+        checked = (_stacked_checks(residuals, tol_rel)
+                   if pair.a.dim >= ROUND_ROBIN_MIN_DIM else {})
+        results = []
+        for bound, key in rows:
+            if key is None:
                 results.append(BoundResult(bound, None))
                 continue
             try:
-                res = _residual(bound, nabla, sharp, harm, pair.a.mat)
-                key = (res + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: equal residuals share a key
                 if key not in checked:
-                    checked[key] = _loewner_check(res, bound.constant, tol_rel)
+                    checked[key] = _loewner_check(residuals[key], bound.constant, tol_rel)
                 lv, scale = checked[key]
+                if isinstance(lv, NumericalError):
+                    raise lv
             except NumericalError as exc:
                 if not bound.literature:
                     raise NumericalError(f"bound {bound.name}: {exc}") from exc
@@ -354,8 +382,9 @@ def verify(
                     bound, constant=None, applicable=False,
                     applicability_reason=f"not checkable in floating point: {exc}"), None))
                 continue
-            results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig,
-                                                      lv.min_eig / scale)))
+            # x / 1.0 is x, so at scale 1 the normalized value is the same float
+            results.append(BoundResult(bound, Verdict(
+                lv.holds, lv.min_eig, lv.min_eig if scale == 1.0 else lv.min_eig / scale)))
     return CertReport(instance=instance or {}, results=tuple(results), comparison=comparison)
 
 

@@ -138,9 +138,14 @@ def _row_text(result) -> str:
         around = _ROW_TEXT[key] = (head + '"constant": ',
                                    tail.removesuffix("null" + _ROW_INDENT + "}"))
     head, tail = around
-    verdict_text = "null" if verdict is None else _VERDICT % (
-        _write(verdict.holds, ""), _write(verdict.min_eig, ""),
-        _write(verdict.min_eig_normalized, ""))
+    verdict_text = "null"
+    if verdict is not None:
+        # verify passes min_eig itself as the normalized value at scale 1: one repr
+        min_eig = _write(verdict.min_eig, "")
+        verdict_text = _VERDICT % (
+            _write(verdict.holds, ""), min_eig,
+            min_eig if verdict.min_eig_normalized is verdict.min_eig
+            else _write(verdict.min_eig_normalized, ""))
     return head + _write(st.constant, "") + tail + verdict_text + _ROW_INDENT + "}"
 
 

@@ -29,6 +29,11 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # Smallest dimension the round-robin kernel takes; below it the cyclic
 # kernel runs (README: the crossover timings, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
+# Most matrix entries, k n^2, in one stacked round-robin solve; a larger stack
+# is solved in parts.  The kernel's buffers grow with k n^2, and from about
+# n = 128 up a round's products cost far more than its numpy calls, which is
+# all a stack saves (README: the stacked kernel)
+STACK_MAX_ENTRIES = 1 << 16
 # Most rotations of the cyclic kernel's sweep that one generated function
 # runs (README: the timings and the peak RSS that chose it)
 CYCLIC_ROTATION_BUDGET = 14
@@ -148,63 +153,137 @@ def _round_robin_pairs(n):
                           axis=1)
 
 
+def _off_norms(x, scratch):
+    """The Frobenius norm of each off-diagonal part of a stack, each with the
+    bits of ``sqrt(np.sum(off * off))``, off = X - diag(X), on its own
+    matrix; ``scratch`` is a buffer shaped like the stack."""
+    big = x.shape[-1]
+    squares = np.square(x, out=scratch).reshape(-1, big * big)  # (0, big^2) when empty
+    diagonal = squares[:, ::big + 1]
+    x_diagonal = x.reshape(-1, big * big)[:, ::big + 1]
+    np.subtract(x_diagonal, x_diagonal, out=diagonal)  # x - x, so NaN where x is inf
+    np.square(diagonal, out=diagonal)
+    return np.sqrt(np.add.reduce(squares, axis=1))
+
+
+def _stack_rounds(blocks, offsets, index, views):
+    """A stack's flat indices for each round in turn, formed in ``index``:
+    the round's four blocks shifted by each matrix's offset into the stack."""
+    for block in blocks:
+        np.add(block, offsets, out=index)
+        yield views
+
+
 def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
-    """Round-robin Jacobi with threshold; diagonalizes the ndarray ``a`` in place.
+    """Round-robin Jacobi with threshold; diagonalizes ``a`` in place.
+
+    ``a`` is one n x n ndarray, or a stack of k of them shaped (k, n, n);
+    ``vec`` is shaped alike, with no rows for eigenvalues only, and ``norm``
+    is the matrix norm, or the k norms.  Each matrix keeps its own norm,
+    rotation threshold, convergence test and sweep count: at the start of a
+    sweep, a matrix that has converged is written back and taken out of the
+    stack, so every matrix runs exactly the float operations of a solve of
+    its own.
 
     Each round rotates n/2 disjoint pairs at once: their angles are computed
     as vectors, and one rotation matrix J holding the pairs' 2 x 2 blocks
-    applies A <- J^T A J and V <- V J; V has no rows when ``vec`` has none.
-    Odd n gets a zero row and column, whose pair never reaches the rotation
-    threshold.  The convergence test, the rotation threshold, the angle
+    applies A <- J^T A J and V <- V J.  Odd n gets a zero row and column,
+    whose pair never reaches the rotation threshold.  The convergence test,
+    the rotation threshold, the angle
     t = sgn(theta) / (|theta| + sqrt(theta^2 + 1)), the exact update of each
     rotated 2 x 2 block and the return value are those of ``_jacobi_kernel``;
     the rounding differs, at about 1e-15 relative.
 
-    A round is 27 numpy calls (28 with V) on buffers allocated once per solve:
-    the work matrices and bases alternate as ``dot`` outputs, J is one
-    matrix whose previous pairs are zeroed before the next are written, and
-    the vectors of a round are ``out=`` targets.
+    A round is 27 numpy calls (28 with V) for one matrix and one more for a
+    stack, whatever its size: a stack's flat indices are formed round by
+    round in one buffer, so they take no memory per round.  The work
+    matrices, J, a scratch matrix and two bases per matrix are allocated
+    once per solve, and a shrinking stack closes up in place: J^T A goes to
+    the scratch matrix (which also holds the convergence test's squares) and
+    the product back into the work matrix, the bases alternate as product
+    outputs, and J's off-diagonal entries are zeroed once the products have
+    used them.  The vectors of a round are ``out=`` targets, allocated again
+    when the stack shrinks.  A lone matrix is multiplied by ``dot``, which
+    has less call overhead than ``matmul`` and gives the same bits, and its
+    vectors are 1-D.
+
+    Returns the sweeps used, or -1 for a matrix whose off-diagonal mass did
+    not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps; for a
+    stack, an array of k such counts.  An unconverged matrix keeps its
+    input values and leaves the others unaffected.
     """
-    n = len(a)
+    single = a.ndim == 2
+    if single:
+        a, vec, norm = a[None], vec[None], (norm,)
+    k, n = a.shape[:2]
     big = n + n % 2
     half = big // 2
-    # work matrices ping-ponged through dot(out=), each with its flat view
-    x, x_next, y = np.zeros((big, big)), np.empty((big, big)), np.empty((big, big))
-    x[:n, :n] = a
-    x_flat, x_next_flat = x.reshape(-1), x_next.reshape(-1)
-    v = np.eye(big) if len(vec) else np.zeros((0, big))
-    v[:n, :n] = vec
-    v_next = np.empty_like(v)
-    # one J per solve: a round zeroes the previous round's off-diagonal
-    # entries and overwrites the diagonal, which every round covers
-    j = np.zeros((big, big))
-    jt, j_flat = j.T, j.reshape(-1)
-    theta, work, t, t_apq = (np.empty(half) for _ in range(4))
-    keep = np.empty(half, dtype=bool)
-    # constants as vectors: a ufunc converts a Python float on every call
-    ones, halves, zeros = np.ones(half), np.full(half, 0.5), np.zeros(half)
-    rotate_floor = np.full(half, 0.01 * rel_tol * norm / (n * n))
-    # J's c, c, s, -s and the rotated blocks' exact entries, in the order of
-    # a round's (p, p), (q, q), (p, q), (q, p) indices, each scattered at once
-    j_entries, x_entries = np.empty((4, half)), np.empty((4, half))
-    c, c_copy, s, minus_s = j_entries
-    new_pp, new_qq, kept = x_entries[0], x_entries[1], x_entries[2:]
-    j_entries, x_entries = j_entries.reshape(-1), x_entries.reshape(-1)
+    sweeps = np.full(k, -1)
+    # the stack entry of each matrix still rotating, and its test and threshold
+    slots = np.arange(k)
+    norm = np.array(norm, dtype=float)
+    tol = rel_tol * norm
+    floor = 0.01 * rel_tol * norm / (n * n)
+    x = np.zeros((k, big, big))
+    x[:, :n, :n] = a
+    vectors = vec.shape[1] > 0
+    v = np.tile(np.eye(big), (k, 1, 1)) if vectors else np.zeros((k, 0, big))
+    v[:, :n, :n] = vec
+    # one J per matrix: a round overwrites the diagonal, which every round
+    # covers, and zeroes its off-diagonal entries once the products used them
+    j = np.zeros((k, big, big))
+    # J^T A and the convergence test's squares, and the other basis buffer
+    y, v_next = np.empty_like(x), np.empty_like(v)
+    # a lone matrix's flat indices, each round's in four blocks; a stack's
+    # are formed from them round by round
     rounds = _round_robin_pairs(n)
-    gathers = rounds[:, :3 * half].reshape(-1, 3, half)
-    offs = rounds[:, 2 * half:]
-    prev_off = offs[-1]
+    gathers, offs = rounds[:, :3 * half].reshape(-1, 3, half), rounds[:, 2 * half:]
+    blocks = rounds.reshape(big - 1, 4, 1, half)
+    m = 0  # the stack's size when its buffers were last allocated
     # a pair at or below the floor may divide by zero here; its t is set to 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for sweep in range(max_sweeps + 1):
-            off = x - np.diag(np.diagonal(x))
-            if math.sqrt(float(np.sum(off * off))) <= rel_tol * norm:
-                a[...] = x[:n, :n]
-                vec[...] = v[:n, :n]
-                return sweep
-            if sweep == max_sweeps:
+            done = _off_norms(x, y) <= tol
+            if done.any():
+                for at in np.flatnonzero(done):
+                    a[slots[at]], vec[slots[at]] = x[at, :n, :n], v[at, :n, :n]
+                sweeps[slots[done]] = sweep
+                rotating = ~done
+                slots, tol, floor = slots[rotating], tol[rotating], floor[rotating]
+                # moved to the front in place: an entry moves to a slot at or before its own
+                for to, at in enumerate(np.flatnonzero(rotating)):
+                    x[to], v[to], j[to] = x[at], v[at], j[at]
+                x, v, j, y, v_next = (w[:len(slots)] for w in (x, v, j, y, v_next))
+            if sweep == max_sweeps or not len(x):
                 break
-            for idx, gather, off_idx in zip(rounds, gathers, offs):
+            if len(x) != m:
+                m = len(x)
+                # a lone matrix's vectors are 1-D, as a ufunc costs a little more on 2-D
+                shape = (half,) if m == 1 else (m, half)
+                if m > 1:  # each round's indices in one buffer, matrix by matrix in each block
+                    index = np.empty((4, m, half), dtype=rounds.dtype)
+                    views = index.reshape(-1), index[:3], index[2:].reshape(-1)
+                    offsets = (np.arange(m) * big * big)[:, None]
+                x_flat, j_flat = x.reshape(-1), j.reshape(-1)
+                # a lone matrix goes through dot as 2-D views
+                product = np.dot if m == 1 else np.matmul
+                x_op, y_op, j_op, jt_op, v_op, v_next_op = (
+                    (w[0] if m == 1 else w)
+                    for w in (x, y, j, j.transpose(0, 2, 1), v, v_next))
+                theta, work, t, t_apq = (np.empty(shape) for _ in range(4))
+                keep = np.empty(shape, dtype=bool)
+                # constants as arrays: a ufunc converts a Python float on every call
+                ones, halves, zeros = (np.full(shape, c) for c in (1.0, 0.5, 0.0))
+                rotate_floor = np.repeat(floor, half).reshape(shape)
+                # J's c, c, s, -s and the rotated blocks' exact entries, in the
+                # order of a round's (p, p), (q, q), (p, q), (q, p) indices
+                j_entries, x_entries = np.empty((4, *shape)), np.empty((4, *shape))
+                c, c_copy, s, minus_s = j_entries
+                new_pp, new_qq, kept = x_entries[0], x_entries[1], x_entries[2:]
+                j_entries, x_entries = j_entries.reshape(-1), x_entries.reshape(-1)
+            for idx, gather, off_idx in (
+                    zip(rounds, gathers, offs) if m == 1
+                    else _stack_rounds(blocks, offsets, index, views)):
                 app, aqq, apq = x_flat[gather]
                 np.abs(apq, out=work)
                 np.less_equal(work, rotate_floor, out=keep)
@@ -223,22 +302,22 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
                 c_copy[...] = c
                 np.multiply(t, c, out=s)
                 np.negative(s, out=minus_s)
-                j_flat[prev_off] = 0.0
                 j_flat[idx] = j_entries
-                prev_off = off_idx
-                np.dot(jt, x, out=y)
-                np.dot(y, j, out=x_next)
-                x, x_next, x_flat, x_next_flat = x_next, x, x_next_flat, x_flat
-                if len(v):
-                    np.dot(v, j, out=v_next)
-                    v, v_next = v_next, v
+                product(jt_op, x_op, out=y_op)
+                product(y_op, j_op, out=x_op)
+                if vectors:
+                    product(v_op, j_op, out=v_next_op)
+                    v_op, v_next_op = v_next_op, v_op
+                j_flat[off_idx] = 0.0  # the next round overwrites the diagonal
                 np.multiply(t, apq, out=t_apq)
                 np.subtract(app, t_apq, out=new_pp)
                 np.add(aqq, t_apq, out=new_qq)
                 kept.fill(0.0)
                 np.copyto(kept, apq, where=keep)
                 x_flat[idx] = x_entries
-    return -1
+            # the basis buffer that holds the sweep's result, and the other one
+            v, v_next = v_op.reshape(v.shape), v_next_op.reshape(v.shape)
+    return int(sweeps[0]) if single else sweeps
 
 
 @dataclass(frozen=True)
@@ -273,6 +352,30 @@ def _require_finite(arr: np.ndarray) -> None:
         raise InputError("matrix entries must be finite")
 
 
+def _checked_norm(arr: np.ndarray) -> float:
+    """The Frobenius norm a solve is judged against.  A NumericalError when
+    it overflows, an InputError when that is because an entry is not finite."""
+    with np.errstate(over="ignore"):  # overflow is caught and reported below
+        # np.sum's pairwise sum without its dispatch, so the same bits
+        norm = math.sqrt(np.add.reduce(np.square(arr), axis=None))
+    if not math.isfinite(norm):
+        # a finite norm has finite entries; this tells a bad entry from an overflow
+        _require_finite(arr)
+        raise NumericalError("matrix Frobenius norm overflowed")
+    return norm
+
+
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    """(X + X^T) / 2, the round-robin kernel's input; X may be a stack."""
+    out = arr + np.swapaxes(arr, -1, -2)
+    out *= 0.5  # in place: 0.5 * x and x * 0.5 are the same float
+    return out
+
+
+def _unconverged() -> NumericalError:
+    return NumericalError(f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps")
+
+
 def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
@@ -287,15 +390,9 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     """
     arr = _as_square(x)
     n = arr.shape[0]
-    with np.errstate(over="ignore"):  # overflow is caught and reported below
-        # np.sum's pairwise sum without its dispatch, so the same bits
-        norm = math.sqrt(np.add.reduce(np.square(arr), axis=None))
-    if not math.isfinite(norm):
-        # a finite norm has finite entries; this tells a bad entry from an overflow
-        _require_finite(arr)
-        raise NumericalError("matrix Frobenius norm overflowed")
+    norm = _checked_norm(arr)
     if n >= ROUND_ROBIN_MIN_DIM:
-        a = 0.5 * (arr + arr.T)
+        a = _symmetrized(arr)
         vec = np.eye(n) if vectors else np.zeros((0, n))
         sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
         diag = a.diagonal().tolist()
@@ -318,9 +415,7 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
         sweeps = _jacobi_kernel(a_rows, w_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
         diag = [row[i] for i, row in enumerate(a_rows)]
     if sweeps < 0:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
-        )
+        raise _unconverged()
     if not vectors:  # sorted is stable, so equal values keep their order (and sign of zero)
         return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
     order = sorted(range(n), key=diag.__getitem__)
@@ -431,13 +526,59 @@ class LoewnerVerdict:
     min_eig: float
 
 
-def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL) -> LoewnerVerdict:
+def _min_eigenvalues(xs: np.ndarray) -> list:
+    """The smallest eigenvalue of each matrix of a stack shaped (k, n, n), each
+    with the bits of ``eig_sym(x, vectors=False).eigenvalues[0]``, or in its
+    place the NumericalError that its solve raised, which fails no other.
+
+    From ``ROUND_ROBIN_MIN_DIM`` up the stack goes through the round-robin
+    kernel at once, in parts of at most ``STACK_MAX_ENTRIES`` entries; below
+    it, each matrix through ``eig_sym``: the cyclic kernel is scalar Python
+    and gains nothing from a stack.
+    """
+    n = _as_square(xs[0]).shape[0] if len(xs) else 0
+    if n < ROUND_ROBIN_MIN_DIM:
+        out = []
+        for x in xs:
+            try:
+                out.append(float(eig_sym(x, vectors=False).eigenvalues[0]))
+            except NumericalError as exc:
+                out.append(exc)
+        return out
+    out, norms = [None] * len(xs), []
+    for i, x in enumerate(xs):
+        try:
+            norms.append(_checked_norm(x))
+        except NumericalError as exc:
+            out[i] = exc
+    solved = [i for i, value in enumerate(out) if value is None]
+    step = max(1, STACK_MAX_ENTRIES // (n * n))
+    for part in range(0, len(solved), step):
+        at = solved[part:part + step]
+        # consecutive matrices are a view of the stack, not a copy
+        a = _symmetrized(xs[at[0]:at[-1] + 1] if at[-1] - at[0] == len(at) - 1 else xs[at])
+        sweeps = _round_robin_kernel(a, np.zeros((len(a), 0, n)), MAX_SWEEPS,
+                                     OFF_DIAG_REL_TOL, norms[part:part + step])
+        for i, ai, used in zip(at, a, sweeps):
+            # min keeps the first of equal values, as the stable sort of eig_sym does
+            out[i] = _unconverged() if used < 0 else min(ai.diagonal().tolist())
+    return out
+
+
+def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL):
     """Check X >= 0 in the Loewner order, up to a relative slack.
 
     Holds iff the smallest eigenvalue is at least
     ``-tol_rel * max(1, ||X||_F)``; the eigenvalue is reported either way.
+    A stack of matrices shaped (k, n, n) gives a tuple of k verdicts, each
+    that of its matrix alone; a matrix whose solve raised a NumericalError
+    has the error in its place, and the others are checked all the same.
     """
-    dec = eig_sym(x, vectors=False)
-    min_eig = float(dec.eigenvalues[0])
-    norm = _frobenius_norm(np.asarray(x, dtype=float))
-    return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, norm), min_eig)
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 3:
+        return tuple(
+            e if isinstance(e, NumericalError)
+            else LoewnerVerdict(e >= -tol_rel * max(1.0, _frobenius_norm(m)), e)
+            for m, e in zip(arr, _min_eigenvalues(arr)))
+    min_eig = float(eig_sym(arr, vectors=False).eigenvalues[0])
+    return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, _frobenius_norm(arr)), min_eig)

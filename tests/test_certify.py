@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meancert import certify
+from meancert import certify, eigen
 from meancert import scalars as sc
 from meancert.certify import (
     CATALOG_ORDER,
@@ -411,6 +411,84 @@ class TestHarmonicMeanBuild:
 # weights outside [0, 1]
 REGIME_PAIRS = {"below": (0.2, 0.7), "above": (1.5, 6.0), "straddle": (0.5, 3.0),
                 "extended": (0.4, 2.5)}
+
+
+def per_residual_route(monkeypatch):
+    """Send every dimension down verify's per-residual route."""
+    monkeypatch.setattr(certify, "ROUND_ROBIN_MIN_DIM", certify.MAX_DIM + 1)
+
+
+class TestStackedRoute:
+    """From ``ROUND_ROBIN_MIN_DIM`` up, verify checks a report's distinct
+    residuals as one stack; its results are those of one check per residual."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The number of matrices in each stacked Loewner call, 0 for one matrix."""
+        stacks = []
+        real = certify.loewner_geq_zero
+
+        def spy(x, tol_rel):
+            stacks.append(len(x) if np.ndim(x) == 3 else 0)
+            return real(x, tol_rel)
+
+        monkeypatch.setattr(certify, "loewner_geq_zero", spy)
+        return stacks
+
+    @pytest.mark.parametrize("regime", list(REGIME_PAIRS))
+    @pytest.mark.parametrize("n", [15, 16, 17, 32])
+    def test_same_results_as_one_check_per_residual(self, n, regime, stacks, monkeypatch):
+        s0, t0 = REGIME_PAIRS[regime]
+        pair = PairContext(*gen_instance(n, s0, t0, 40 + n))
+        stacked = {}
+        for v in (-0.3, 0.0, 0.5, 1.0, 1.5):
+            bounds = catalog(pair.sandwich, v, uniform_box=pair.uniform_box)
+            stacked[v] = verify(pair, v, bounds)
+            assert len(stacks) == 1 and stacks[0] >= 1
+            stacks.clear()
+        per_residual_route(monkeypatch)
+        for v, report in stacked.items():
+            bounds = catalog(pair.sandwich, v, uniform_box=pair.uniform_box)
+            alone = verify(pair, v, bounds)
+            assert stacks and not any(stacks)
+            stacks.clear()
+            assert report.results == alone.results
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(report.results) == repr(alone.results)
+
+    @pytest.mark.parametrize("s0,t0,v", [(1.5, 6.0, 0.5), (0.5, 3.0, 0.3), (0.4, 2.5, 1.5)])
+    def test_an_unconverged_check_names_the_first_applicable_row(self, s0, t0, v,
+                                                                 monkeypatch):
+        pair = PairContext(*gen_instance(16, s0, t0, 3))
+        bounds = catalog(pair.sandwich, v, uniform_box=pair.uniform_box)
+        # the means are built before sweeps are forbidden, so only the checks fail
+        sharp, harm = op_sharp(pair, v), op_harm(pair, v) if 0.0 <= v <= 1.0 else None
+        monkeypatch.setattr(certify, "op_sharp", lambda pair, v: sharp)
+        monkeypatch.setattr(certify, "op_harm", lambda pair, v: harm)
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
+        first = next(b.name for b in bounds if b.applicable)
+        message = f"^bound {first}: Jacobi eigensolver did not converge within 0 sweeps$"
+        with pytest.raises(NumericalError, match=message):
+            verify(pair, v, bounds)
+        per_residual_route(monkeypatch)
+        with pytest.raises(NumericalError, match=message):
+            verify(pair, v, bounds)
+
+    @pytest.mark.parametrize("b_diagonal,error", [
+        ((60.0, 66.0), "residual overflowed"), ((100.0, 110.0), "constant overflowed")])
+    def test_an_overflowing_literature_row_is_not_checkable(self, b_diagonal, error, stacks,
+                                                            monkeypatch):
+        b = SymPDMatrix(np.diag(np.linspace(*b_diagonal, 16)))
+        pair = PairContext(SymPDMatrix(np.eye(16)), b)
+        bounds = catalog(pair.sandwich, 0.5, uniform_box=pair.uniform_box)
+        report = verify(pair, 0.5, bounds)
+        assert len(stacks) == 1 and stacks[0] >= 1
+        dragomir = by_name([r.statement for r in report.results])["dragomir"]
+        assert (dragomir.constant, dragomir.applicable, dragomir.applicability_reason) == (
+            None, False, f"not checkable in floating point: {error}")
+        assert report.overall_pass
+        per_residual_route(monkeypatch)
+        assert repr(verify(pair, 0.5, bounds).results) == repr(report.results)
 
 
 def fresh_statement(name, reason):

@@ -290,6 +290,131 @@ def test_round_robin_kernel_matches_reference_bit_for_bit(name, x):
         assert vec.tobytes() == ref_vec.tobytes()
 
 
+def stack_cases(n):
+    """Matrices of one size that converge at different sweeps: a zero matrix at
+    sweep 0, a diagonal one at sweep 0 too, and random ones that need several."""
+    rng = np.random.default_rng(200 + n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    return np.array([
+        random_symmetric(rng, n),
+        np.zeros((n, n)),
+        np.diag(rng.standard_normal(n)),
+        (q * np.resize([1.0, 2.0, 5.0], n)) @ q.T,  # repeated: more sweeps than the rest
+        1e-150 * random_symmetric(rng, n),
+        (q * np.logspace(-8, 0, n)) @ q.T,
+        random_symmetric(rng, n),
+    ])
+
+
+def frobenius(x):
+    return float(np.sqrt(np.sum(np.square(x))))
+
+
+@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values-only"])
+@pytest.mark.parametrize("n", [15, 16, 17, 32])
+def test_stacked_kernel_matches_reference_bit_for_bit(n, vectors):
+    xs = stack_cases(n)
+    a = 0.5 * (xs + xs.transpose(0, 2, 1))
+    vec = np.tile(np.eye(n), (len(xs), 1, 1)) if vectors else np.zeros((len(xs), 0, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweeps = eigen._round_robin_kernel(a, vec, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
+                                           [frobenius(x) for x in xs])
+    assert sweeps[1] == sweeps[2] == 0 and len(set(sweeps.tolist())) >= 3
+    for x, got_a, got_vec, got_sweeps in zip(xs, a, vec, sweeps):
+        ref_a, ref_vec = 0.5 * (x + x.T), np.eye(n) if vectors else np.zeros((0, n))
+        ref_sweeps = reference_round_robin_kernel(ref_a, ref_vec, eigen.MAX_SWEEPS,
+                                                  eigen.OFF_DIAG_REL_TOL, frobenius(x))
+        assert got_sweeps == ref_sweeps >= 0
+        assert got_a.tobytes() == ref_a.tobytes()
+        assert got_vec.tobytes() == ref_vec.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_an_unconverged_matrix_fails_alone(n):
+    """One sweep settles the zero matrix (0 sweeps) and a matrix of 2 x 2
+    blocks on round 0's pairs (1 sweep), but not a random one, which keeps
+    its input; the others get their solo results."""
+    rng = np.random.default_rng(18)
+    p, q = np.divmod(eigen._round_robin_pairs(n)[0, n + n % 2:3 * ((n + 1) // 2)], n + n % 2)
+    blocks = np.diag(rng.uniform(1.0, 2.0, n))
+    inside = q < n  # on odd n, the pair with the padding index is not in the matrix
+    blocks[p[inside], q[inside]] = blocks[q[inside], p[inside]] = rng.uniform(-1.0, 1.0,
+                                                                              inside.sum())
+    xs = np.array([random_symmetric(rng, n), np.zeros((n, n)), blocks])
+    norms = [frobenius(x) for x in xs]
+    a, vec = xs.copy(), np.tile(np.eye(n), (3, 1, 1))
+    sweeps = eigen._round_robin_kernel(a, vec, 1, eigen.OFF_DIAG_REL_TOL, norms)
+    assert sweeps.tolist() == [-1, 0, 1]
+    assert a[0].tobytes() == xs[0].tobytes() and vec[0].tobytes() == np.eye(n).tobytes()
+    for i in (1, 2):
+        solo_a, solo_vec = xs[i].copy(), np.eye(n)
+        assert eigen._round_robin_kernel(solo_a, solo_vec, 1, eigen.OFF_DIAG_REL_TOL,
+                                         norms[i]) == sweeps[i]
+        assert a[i].tobytes() == solo_a.tobytes() and vec[i].tobytes() == solo_vec.tobytes()
+
+
+class TestStackedLoewner:
+    """A stack given to ``loewner_geq_zero`` gives each matrix's own verdict."""
+
+    @pytest.mark.parametrize("n", [2, 8, 15, 16, 17, 32])
+    def test_each_verdict_is_the_solo_verdict(self, n):
+        xs = stack_cases(n)
+        xs[-1] = xs[-1] + 3.0 * np.eye(n)  # positive definite: a verdict that holds
+        stacked = loewner_geq_zero(xs, 1e-9)
+        assert isinstance(stacked, tuple) and len(stacked) == len(xs)
+        for x, got in zip(xs, stacked):
+            solo = loewner_geq_zero(x, 1e-9)
+            assert got.holds == solo.holds
+            assert np.float64(got.min_eig).tobytes() == np.float64(solo.min_eig).tobytes()
+        assert {v.holds for v in stacked} == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_a_failed_solve_is_reported_in_its_place(self, n, monkeypatch):
+        rng = np.random.default_rng(19)
+        xs = np.array([np.eye(n), np.full((n, n), 1e200), random_symmetric(rng, n),
+                       np.diag(np.arange(1.0, n + 1.0))])
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
+        got = loewner_geq_zero(xs)
+        assert isinstance(got[1], NumericalError) and str(got[1]) == \
+            "matrix Frobenius norm overflowed"
+        assert isinstance(got[2], NumericalError) and str(got[2]) == \
+            "Jacobi eigensolver did not converge within 0 sweeps"
+        assert got[0] == loewner_geq_zero(xs[0]) and got[3] == loewner_geq_zero(xs[3])
+        (alone,) = loewner_geq_zero(xs[1:2])  # nothing left to solve
+        assert str(alone) == "matrix Frobenius norm overflowed"
+
+    @pytest.mark.parametrize("failed", [None, 2], ids=["all-solved", "one-overflows"])
+    def test_a_stack_solved_in_parts_gives_the_same_verdicts(self, failed, monkeypatch):
+        n = 16
+        xs = stack_cases(n)
+        if failed is not None:
+            xs[failed] = np.full((n, n), 1e200)
+        whole = loewner_geq_zero(xs)
+        solved = []
+        real = eigen._round_robin_kernel
+
+        def spy(a, *args):
+            solved.append(len(a))
+            return real(a, *args)
+
+        monkeypatch.setattr(eigen, "_round_robin_kernel", spy)
+        monkeypatch.setattr(eigen, "STACK_MAX_ENTRIES", 3 * n * n)
+        parts = loewner_geq_zero(xs)
+        assert solved == ([3, 3, 1] if failed is None else [3, 3])
+        assert [str(v) if isinstance(v, NumericalError) else v for v in parts] == \
+            [str(v) if isinstance(v, NumericalError) else v for v in whole]
+        assert all(np.float64(p.min_eig).tobytes() == np.float64(w.min_eig).tobytes()
+                   for p, w in zip(parts, whole) if not isinstance(p, NumericalError))
+
+    def test_non_finite_entries_are_an_input_error(self):
+        xs = np.zeros((2, 16, 16))
+        xs[1, 0, 0] = math.nan
+        with pytest.raises(InputError, match="finite"):
+            loewner_geq_zero(xs)
+
+
 def reference_cyclic_kernel(a, vec, max_sweeps, rel_tol, norm):
     """The cyclic kernel written on the full matrix: both triangles and V's columns.
 
@@ -528,6 +653,35 @@ def test_same_bits_at_one_and_two_blas_threads():
                    MKL_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", _HASH_EIG_SYM], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
+
+
+_HASH_STACKED_SOLVE = """
+import hashlib, numpy as np
+from meancert import eigen
+for n in (32, 64):
+    x = np.random.default_rng(n).standard_normal((5, n, n))
+    a = 0.5 * (x + x.transpose(0, 2, 1))
+    norms = [float(np.sqrt(np.sum(np.square(m)))) for m in a]
+    sweeps = eigen._round_robin_kernel(a, np.zeros((5, 0, n)), eigen.MAX_SWEEPS,
+                                       eigen.OFF_DIAG_REL_TOL, norms)
+    assert (sweeps > 0).all()
+    diagonals = np.ascontiguousarray(a.diagonal(axis1=1, axis2=2))
+    print(hashlib.sha256(diagonals.tobytes() + sweeps.tobytes()).hexdigest())
+"""
+
+
+def test_stacked_solve_same_bits_at_one_and_two_blas_threads():
+    src = os.path.dirname(os.path.dirname(eigen.__file__))
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _HASH_STACKED_SOLVE], env=env,
                              capture_output=True, text=True, check=True, timeout=120)
         hashes.append(out.stdout.split())
     assert len(hashes[0]) == 2

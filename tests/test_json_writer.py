@@ -93,6 +93,28 @@ def test_row_text_cache_holds_one_entry_per_row_state(monkeypatch):
     assert len(cli._ROW_TEXT) == len(states) < 3 * len(certify.TABLE)
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_normalized_margin_is_min_eig_itself_at_scale_one(n):
+    """At ||R||_F <= 1 the normalized margin is the min_eig float itself, so
+    the writer reprs it once; the text is still json.dumps's."""
+    pair = PairContext(*certify.gen_instance(n, 1.2, 5.0, 3))
+    v = 0.5
+    report = cli.certify_weight(pair, v, DEFAULT_LOEWNER_TOL)
+    nabla, sharp, harm = (certify.op_nabla(pair.a, pair.b, v), certify.op_sharp(pair, v),
+                          certify.op_harm(pair, v))
+    same = []
+    for r in report.results:
+        if r.verdict is not None:
+            res = certify._residual(r.statement, nabla, sharp, harm, pair.a.mat)
+            norm = float(np.linalg.norm(res))
+            same.append(r.verdict.min_eig_normalized is r.verdict.min_eig)
+            assert same[-1] == (norm <= 1.0)
+            if not same[-1]:
+                assert r.verdict.min_eig_normalized == r.verdict.min_eig / norm
+    assert set(same) == {True, False}
+    assert cli.emit_report(report) == json.dumps(report.to_dict(), indent=2)
+
+
 def test_compare_grid_up_to_1e300_is_the_stdlib_text(capsys):
     argv = ["compare", "--h-range", "1", "1e300", "40", "--v-range", "0", "1", "11"]
     assert main(argv) == EXIT_PASS

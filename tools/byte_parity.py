@@ -7,8 +7,9 @@ Runs ``meancert.cli.main`` in this process, taking the package from
 ``PYTHONPATH``, on a fixed set of cases:
 
 - ``check`` at v in {-1, -0.3, 0, 0.25, 0.5, 0.7, 1, 1.5, 2}, a 13-weight
-  ``sweep`` over [-1, 2] and ``random --count 3``, for n = 1-14, 16 and 32
-  and a ``gen_instance`` pair in each of the four regimes;
+  ``sweep`` over [-1, 2] and ``random --count 3``, for n = 1-17 and 32 and
+  a ``gen_instance`` pair in each of the four regimes (n = 15, 16, 17 and 32
+  take verify's stacked route, at both parities);
 - eleven edge runs: a not-checkable literature row, a numerical failure, a
   dimension mismatch, subnormal and large entries, a long sweep and
   ``compare`` as JSON and CSV.
@@ -36,7 +37,7 @@ import numpy as np
 
 from meancert import certify, cli
 
-DIMS = (*range(1, 15), 16, 32)
+DIMS = (*range(1, 18), 32)
 # the ends (s0, t0) of each regime's relative spectrum; n = 1 takes (s0, s0)
 REGIMES = {"below": (0.2, 0.7), "above": (1.5, 6.0), "straddle": (0.5, 3.0),
            "extended": (0.4, 2.5)}
