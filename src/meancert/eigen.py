@@ -5,14 +5,19 @@ machine precision for the desk-scale dimensions this package targets
 (n <= 512), with no dependence on LAPACK.  Everything downstream
 (fractional powers, congruences, Loewner-order checks) goes through it.
 
-There are two kernels with one convergence contract, and the dimension
-picks one.  Below ``ROUND_ROBIN_MIN_DIM`` the cyclic kernel rotates one pair
-at a time in straight-line Python compiled once per dimension; from there up
-the round-robin kernel applies n/2 disjoint rotations at once through numpy.
+There are two kernels with one convergence rule and one contract, and the
+dimension picks one.  Below ``ROUND_ROBIN_MIN_DIM`` the cyclic kernel rotates
+one pair at a time in straight-line Python compiled once per dimension; from
+there up the round-robin kernel applies n/2 disjoint rotations at once
+through numpy, to one matrix or a (k, n, n) stack.  Each kernel takes the
+caller's raw matrix (or stack) and its norm, solves (X + X^T) / 2 without
+writing X, and returns the diagonal, the basis V (None for eigenvalues only)
+and the sweep count; the round-robin kernel returns one of each per matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +42,6 @@ STACK_MAX_ENTRIES = 1 << 16
 # Most rotations of the cyclic kernel's sweep that one generated function
 # runs (README: the timings and the peak RSS that chose it)
 CYCLIC_ROTATION_BUDGET = 14
-# Largest dimension whose symmetrization before the cyclic kernel runs on
-# Python floats rather than through two numpy calls, the faster way up to it
-_LIST_SYMMETRIZE_MAX_DIM = 6
 
 
 # Straight-line code of one cyclic sweep per dimension, compiled on its first solve
@@ -69,22 +71,35 @@ def _generate_cyclic(n):
     """Compile dimension n's cyclic sweep as straight-line Python.
 
     Entry (i, j), i <= j, is the local ``a{i}_{j}``, and the upper triangle
-    goes in and out as a tuple in row order.  ``off(u)`` sums 2 a_ij^2 over
-    i < j in row order.  The sweep's rotations (0, 1), (0, 2), ...,
-    (n - 2, n - 1) are cut into consecutive runs of at most
-    ``CYCLIC_ROTATION_BUDGET``, one function each: fewer calls per sweep
-    than one per pivot row, while the compiler's peak memory stays bounded
-    by one run's source.
+    goes in and out as a tuple in row order.  Returns four functions:
+
+    - ``upper(rows)`` takes ``X.tolist()`` and returns the upper triangle of
+      (X + X^T) / 2, each entry ``0.5 * (x_ij + x_ji)`` as numpy rounds it;
+      the diagonal passes through, as (x + x) / 2 is x under a finite norm;
+    - ``off(u)`` sums 2 a_ij^2 over i < j in row order;
+    - ``runs``, the sweep's rotations (0, 1), (0, 2), ..., (n - 2, n - 1)
+      cut into consecutive runs of at most ``CYCLIC_ROTATION_BUDGET``, one
+      function each: fewer calls per sweep than one per pivot row, while the
+      compiler's peak memory stays bounded by one run's source;
+    - ``diagonal(u)``, the diagonal as a list.
     """
     def at(i, j):
         return f"a{min(i, j)}_{max(i, j)}"
 
-    upper = "".join(f"a{i}_{j}, " for i in range(n) for j in range(i, n))
+    entries = [(i, j) for i in range(n) for j in range(i, n)]
+    upper = "".join(f"a{i}_{j}, " for i, j in entries)
+    # entry (i, j) of X is the local x{i}_{j}
+    rows = "".join("(" + "".join(f"x{i}_{j}, " for j in range(n)) + "), " for i in range(n))
+    halves = ", ".join(f"x{i}_{j}" if i == j else f"0.5 * (x{i}_{j} + x{j}_{i})"
+                       for i, j in entries)
     sums = "".join("    off = off" + "".join(f" + 2.0*a{i}_{j}*a{i}_{j}" for j in range(i + 1, n))
                    + "\n" for i in range(n - 1))
+    diagonal = ", ".join(f"u[{k}]" for k, (i, j) in enumerate(entries) if i == j)
     namespace = {"sqrt": math.sqrt}
-    exec(compile(f"def off(u):\n    {upper}= u\n    off = 0.0\n{sums}    return off\n",
-                 f"<cyclic jacobi n={n} off-norm>", "exec"), namespace)
+    exec(compile(f"def upper(rows):\n    {rows}= rows\n    return ({halves},)\n"
+                 f"def off(u):\n    {upper}= u\n    off = 0.0\n{sums}    return off\n"
+                 f"def diagonal(u):\n    return [{diagonal}]\n",
+                 f"<cyclic jacobi n={n} entry and exit>", "exec"), namespace)
     order = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     runs = []
     for k in range(0, len(order), CYCLIC_ROTATION_BUDGET):
@@ -96,51 +111,57 @@ def _generate_cyclic(n):
         exec(compile(f"def run(u, w, rotate_floor):\n    {upper}= u\n{body}    return {upper}\n",
                      f"<cyclic jacobi n={n} rotations from {k}>", "exec"), namespace)
         runs.append(namespace["run"])
-    return namespace["off"], tuple(runs)
+    return namespace["upper"], namespace["off"], tuple(runs), namespace["diagonal"]
 
 
-def _jacobi_kernel(a, w, max_sweeps, rel_tol, norm):
-    """Cyclic Jacobi with threshold; diagonalizes ``a`` in place.
+def _jacobi_kernel(x, vectors, max_sweeps, rel_tol, norm):
+    """Cyclic Jacobi with threshold on (X + X^T) / 2; ``x`` is never written.
 
-    ``a`` is a list of n rows, each a list of n floats, of which only the
-    diagonal and the upper triangle are read and written; the lower triangle
-    keeps its input values.  ``w`` is a list of rows rotated along with it,
-    the rows of V^T: the n rows of the identity for eigenvectors, or ``[]``
-    for eigenvalues only.  The updates of ``a`` never read ``w``, so the
-    eigenvalues keep their bits either way.  A sweep runs the code of
-    ``_generate_cyclic``: the rotations of the cyclic loop over p < q, with
-    their float operations in order, on a triangle held in locals.
+    ``x`` is an n x n ndarray and ``norm`` its norm.  The sweeps rotate the
+    upper triangle, held as a tuple, and, for eigenvectors, the rows of V^T,
+    lists that start as the identity's.  The updates of the triangle never
+    read V^T, so the eigenvalues keep their bits either way.  A sweep runs
+    the code of ``_generate_cyclic``: the rotations of the cyclic loop over
+    p < q, with their float operations in order, on a triangle held in
+    locals.
 
-    Returns the number of sweeps used, or -1 if the off-diagonal mass did
-    not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps (NaN
-    contamination also lands here, since NaN fails every comparison).
+    Returns ``(diagonal, V, sweeps)``: the diagonal as a list, V as an ndarray
+    whose columns are the eigenvectors (None for eigenvalues only), and the
+    sweeps used, or -1 if the off-diagonal mass did not drop below
+    ``rel_tol * norm`` within ``max_sweeps`` sweeps (NaN contamination also
+    lands here, since NaN fails every comparison).
     """
-    n = len(a)
+    n = len(x)
     if n not in _CYCLIC_CODE:
         _CYCLIC_CODE[n] = _generate_cyclic(n)
-    off, runs = _CYCLIC_CODE[n]
+    upper, off, runs, diagonal = _CYCLIC_CODE[n]
     rotate_floor = 0.01 * rel_tol * norm / (n * n)
-    upper = [x for i, ai in enumerate(a) for x in ai[i:]]
+    u = upper(x.tolist())
+    w = []
+    if vectors:
+        w = [[0.0] * n for _ in range(n)]
+        for i, row in enumerate(w):
+            row[i] = 1.0
     for sweep in range(max_sweeps + 1):
-        if math.sqrt(off(upper)) <= rel_tol * norm:
+        if math.sqrt(off(u)) <= rel_tol * norm:
             break
         if sweep == max_sweeps:
             sweep = -1
             break
         for run in runs:
-            upper = run(upper, w, rotate_floor)
-    for i, ai in enumerate(a):
-        ai[i:], upper = upper[:n - i], upper[n - i:]
-    return sweep
+            u = run(u, w, rotate_floor)
+    return diagonal(u), np.array(w).T if vectors else None, sweep
 
 
+@functools.cache
 def _round_robin_pairs(n):
     """Flat indices of each round's rotations in an even-sized work matrix.
 
     The work matrix is n x n, padded to even N.  Row r of the result lists
     the (p, p), (q, q), (p, q) and (q, p) entries, in four blocks of N/2,
     of round r's disjoint pairs p < q.  The N - 1 rounds of this Brent-Luk
-    (circle method) schedule meet every pair once.
+    (circle method) schedule meet every pair once.  Built once per n, and
+    read-only, as every solve of that size shares it.
     """
     big = n + n % 2
     r = np.arange(big - 1)[:, None]
@@ -149,8 +170,10 @@ def _round_robin_pairs(n):
     p = np.concatenate([r, (r + k) % (big - 1)], axis=1)
     q = np.concatenate([np.full_like(r, big - 1), (r - k) % (big - 1)], axis=1)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
-    return np.concatenate([lo * (big + 1), hi * (big + 1), lo * big + hi, hi * big + lo],
-                          axis=1)
+    rounds = np.concatenate([lo * (big + 1), hi * (big + 1), lo * big + hi, hi * big + lo],
+                            axis=1)
+    rounds.setflags(write=False)
+    return rounds
 
 
 def _off_norms(x, scratch):
@@ -174,16 +197,15 @@ def _stack_rounds(blocks, offsets, index, views):
         yield views
 
 
-def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
-    """Round-robin Jacobi with threshold; diagonalizes ``a`` in place.
+def _round_robin_kernel(a, vectors, max_sweeps, rel_tol, norms):
+    """Round-robin Jacobi with threshold on each (X + X^T) / 2 of a stack.
 
-    ``a`` is one n x n ndarray, or a stack of k of them shaped (k, n, n);
-    ``vec`` is shaped alike, with no rows for eigenvalues only, and ``norm``
-    is the matrix norm, or the k norms.  Each matrix keeps its own norm,
+    ``a`` is a stack of k n x n matrices shaped (k, n, n), which is never
+    written, and ``norms`` their k norms.  Each matrix keeps its own norm,
     rotation threshold, convergence test and sweep count: at the start of a
-    sweep, a matrix that has converged is written back and taken out of the
-    stack, so every matrix runs exactly the float operations of a solve of
-    its own.
+    sweep, a matrix that has converged has its diagonal and basis written to
+    the outputs and is taken out of the stack, so every matrix runs exactly
+    the float operations of a solve of its own.
 
     Each round rotates n/2 disjoint pairs at once: their angles are computed
     as vectors, and one rotation matrix J holding the pairs' 2 x 2 blocks
@@ -191,44 +213,45 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
     whose pair never reaches the rotation threshold.  The convergence test,
     the rotation threshold, the angle
     t = sgn(theta) / (|theta| + sqrt(theta^2 + 1)), the exact update of each
-    rotated 2 x 2 block and the return value are those of ``_jacobi_kernel``;
+    rotated 2 x 2 block and the sweep count are those of ``_jacobi_kernel``;
     the rounding differs, at about 1e-15 relative.
 
     A round is 27 numpy calls (28 with V) for one matrix and one more for a
     stack, whatever its size: a stack's flat indices are formed round by
     round in one buffer, so they take no memory per round.  The work
-    matrices, J, a scratch matrix and two bases per matrix are allocated
-    once per solve, and a shrinking stack closes up in place: J^T A goes to
-    the scratch matrix (which also holds the convergence test's squares) and
-    the product back into the work matrix, the bases alternate as product
-    outputs, and J's off-diagonal entries are zeroed once the products have
-    used them.  The vectors of a round are ``out=`` targets, allocated again
-    when the stack shrinks.  A lone matrix is multiplied by ``dot``, which
-    has less call overhead than ``matmul`` and gives the same bits, and its
-    vectors are 1-D.
+    matrices, which (X + X^T) / 2 is formed in, J, a scratch matrix and two
+    bases per matrix are allocated once per solve, and a shrinking stack
+    closes up in place: J^T A goes to the scratch matrix (which also holds
+    the convergence test's squares) and the product back into the work
+    matrix, the bases alternate as product outputs, and J's off-diagonal
+    entries are zeroed once the products have used them.  The vectors of a
+    round are ``out=`` targets, allocated again when the stack shrinks.  A
+    lone matrix is multiplied by ``dot``, which has less call overhead than
+    ``matmul`` and gives the same bits, and its vectors are 1-D.
 
-    Returns the sweeps used, or -1 for a matrix whose off-diagonal mass did
-    not drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps; for a
-    stack, an array of k such counts.  An unconverged matrix keeps its
-    input values and leaves the others unaffected.
+    Returns ``(diagonals, bases, sweeps)``: each matrix's diagonal as a list,
+    the (k, n, n) ndarray of their bases V, whose columns are the
+    eigenvectors (None for eigenvalues only), and the list of sweeps used,
+    -1 for a matrix whose off-diagonal mass did not drop below
+    ``rel_tol * norm`` within ``max_sweeps`` sweeps.  Such a matrix has NaN
+    for its diagonal and basis and leaves the others unaffected.
     """
-    single = a.ndim == 2
-    if single:
-        a, vec, norm = a[None], vec[None], (norm,)
     k, n = a.shape[:2]
     big = n + n % 2
     half = big // 2
     sweeps = np.full(k, -1)
     # the stack entry of each matrix still rotating, and its test and threshold
     slots = np.arange(k)
-    norm = np.array(norm, dtype=float)
+    norm = np.array(norms, dtype=float)
     tol = rel_tol * norm
     floor = 0.01 * rel_tol * norm / (n * n)
     x = np.zeros((k, big, big))
-    x[:, :n, :n] = a
-    vectors = vec.shape[1] > 0
+    np.add(a, a.transpose(0, 2, 1), out=x[:, :n, :n])
+    x[:, :n, :n] *= 0.5  # 0.5 * x and x * 0.5 are the same float
     v = np.tile(np.eye(big), (k, 1, 1)) if vectors else np.zeros((k, 0, big))
-    v[:, :n, :n] = vec
+    # the outputs; a matrix that does not converge keeps their NaN
+    diagonals = np.full((k, n), math.nan)
+    bases = np.full((k, n if vectors else 0, n), math.nan)
     # one J per matrix: a round overwrites the diagonal, which every round
     # covers, and zeroes its off-diagonal entries once the products used them
     j = np.zeros((k, big, big))
@@ -246,7 +269,7 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
             done = _off_norms(x, y) <= tol
             if done.any():
                 for at in np.flatnonzero(done):
-                    a[slots[at]], vec[slots[at]] = x[at, :n, :n], v[at, :n, :n]
+                    diagonals[slots[at]], bases[slots[at]] = x[at].diagonal()[:n], v[at, :n, :n]
                 sweeps[slots[done]] = sweep
                 rotating = ~done
                 slots, tol, floor = slots[rotating], tol[rotating], floor[rotating]
@@ -317,7 +340,7 @@ def _round_robin_kernel(a, vec, max_sweeps, rel_tol, norm):
                 x_flat[idx] = x_entries
             # the basis buffer that holds the sweep's result, and the other one
             v, v_next = v_op.reshape(v.shape), v_next_op.reshape(v.shape)
-    return int(sweeps[0]) if single else sweeps
+    return diagonals.tolist(), bases if vectors else None, sweeps.tolist()
 
 
 @dataclass(frozen=True)
@@ -365,13 +388,6 @@ def _checked_norm(arr: np.ndarray) -> float:
     return norm
 
 
-def _symmetrized(arr: np.ndarray) -> np.ndarray:
-    """(X + X^T) / 2, the round-robin kernel's input; X may be a stack."""
-    out = arr + np.swapaxes(arr, -1, -2)
-    out *= 0.5  # in place: 0.5 * x and x * 0.5 are the same float
-    return out
-
-
 def _unconverged() -> NumericalError:
     return NumericalError(f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps")
 
@@ -391,39 +407,19 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     arr = _as_square(x)
     n = arr.shape[0]
     norm = _checked_norm(arr)
-    if n >= ROUND_ROBIN_MIN_DIM:
-        a = _symmetrized(arr)
-        vec = np.eye(n) if vectors else np.zeros((0, n))
-        sweeps = _round_robin_kernel(a, vec, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
-        diag = a.diagonal().tolist()
+    if n < ROUND_ROBIN_MIN_DIM:
+        diag, basis, sweeps = _jacobi_kernel(arr, vectors, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
     else:
-        if n > _LIST_SYMMETRIZE_MAX_DIM:
-            a_rows = (0.5 * (arr + arr.T)).tolist()
-        else:
-            # (X + X^T) / 2 on the upper triangle, all the kernel reads, by
-            # numpy's float operations; on the diagonal (x + x) / 2 is x, as
-            # x + x cannot overflow under a finite norm
-            a_rows = arr.tolist()
-            for i, row in enumerate(a_rows):
-                for j in range(i + 1, n):
-                    row[j] = 0.5 * (row[j] + a_rows[j][i])
-        w_rows = []
-        if vectors:  # the rows of V^T start as the identity's
-            w_rows = [[0.0] * n for _ in range(n)]
-            for i, row in enumerate(w_rows):
-                row[i] = 1.0
-        sweeps = _jacobi_kernel(a_rows, w_rows, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
-        diag = [row[i] for i, row in enumerate(a_rows)]
+        (diag,), bases, (sweeps,) = _round_robin_kernel(arr[None], vectors, MAX_SWEEPS,
+                                                        OFF_DIAG_REL_TOL, (norm,))
+        basis = None if bases is None else bases[0]
     if sweeps < 0:
         raise _unconverged()
     if not vectors:  # sorted is stable, so equal values keep their order (and sign of zero)
         return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
     order = sorted(range(n), key=diag.__getitem__)
-    if n >= ROUND_ROBIN_MIN_DIM:
-        basis = np.ascontiguousarray(vec[:, order])
-    else:  # row i of V^T is eigenvector i; copy() makes the transpose C-contiguous
-        basis = np.array([w_rows[i] for i in order]).T.copy()
-    return SpectralDecomposition(np.array([diag[i] for i in order]), basis, sweeps)
+    return SpectralDecomposition(np.array([diag[i] for i in order]),
+                                 np.ascontiguousarray(basis[:, order]), sweeps)
 
 
 def require_pd(eigenvalues: np.ndarray, margin: float) -> None:
@@ -556,12 +552,12 @@ def _min_eigenvalues(xs: np.ndarray) -> list:
     for part in range(0, len(solved), step):
         at = solved[part:part + step]
         # consecutive matrices are a view of the stack, not a copy
-        a = _symmetrized(xs[at[0]:at[-1] + 1] if at[-1] - at[0] == len(at) - 1 else xs[at])
-        sweeps = _round_robin_kernel(a, np.zeros((len(a), 0, n)), MAX_SWEEPS,
-                                     OFF_DIAG_REL_TOL, norms[part:part + step])
-        for i, ai, used in zip(at, a, sweeps):
+        a = xs[at[0]:at[-1] + 1] if at[-1] - at[0] == len(at) - 1 else xs[at]
+        diagonals, _, sweeps = _round_robin_kernel(a, False, MAX_SWEEPS, OFF_DIAG_REL_TOL,
+                                                   norms[part:part + step])
+        for i, diagonal, used in zip(at, diagonals, sweeps):
             # min keeps the first of equal values, as the stable sort of eig_sym does
-            out[i] = _unconverged() if used < 0 else min(ai.diagonal().tolist())
+            out[i] = _unconverged() if used < 0 else min(diagonal)
     return out
 
 
