@@ -382,9 +382,7 @@ def verify(
                     bound, constant=None, applicable=False,
                     applicability_reason=f"not checkable in floating point: {exc}"), None))
                 continue
-            # x / 1.0 is x, so at scale 1 the normalized value is the same float
-            results.append(BoundResult(bound, Verdict(
-                lv.holds, lv.min_eig, lv.min_eig if scale == 1.0 else lv.min_eig / scale)))
+            results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig, lv.min_eig / scale)))
     return CertReport(instance=instance or {}, results=tuple(results), comparison=comparison)
 
 

@@ -140,11 +140,12 @@ def _row_text(result) -> str:
     head, tail = around
     verdict_text = "null"
     if verdict is not None:
-        # verify passes min_eig itself as the normalized value at scale 1: one repr
+        # equal floats of one sign have one repr, and x / 1.0 is x: at scale 1
+        # the normalized value is written from min_eig's text
         min_eig = _write(verdict.min_eig, "")
         verdict_text = _VERDICT % (
             _write(verdict.holds, ""), min_eig,
-            min_eig if verdict.min_eig_normalized is verdict.min_eig
+            min_eig if verdict.min_eig_normalized == verdict.min_eig
             else _write(verdict.min_eig_normalized, ""))
     return head + _write(st.constant, "") + tail + verdict_text + _ROW_INDENT + "}"
 

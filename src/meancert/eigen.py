@@ -13,6 +13,9 @@ through numpy, to one matrix or a (k, n, n) stack.  Each kernel takes the
 caller's raw matrix (or stack) and its norm, solves (X + X^T) / 2 without
 writing X, and returns the diagonal, the basis V (None for eigenvalues only)
 and the sweep count; the round-robin kernel returns one of each per matrix.
+A stack of Loewner checks is solved by one loop over parts at every
+dimension: a part is one matrix on the cyclic kernel and a stack on the
+round-robin kernel.
 """
 
 from __future__ import annotations
@@ -32,15 +35,15 @@ SYMMETRY_REL_TOL = 1e-12
 PD_REL_MARGIN = 1e-12
 DEFAULT_LOEWNER_TOL = 1e-9
 # Smallest dimension the round-robin kernel takes; below it the cyclic
-# kernel runs (README: the crossover timings, and why it stays at 15).
+# kernel runs (README: the crossover, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
 # Most matrix entries, k n^2, in one stacked round-robin solve; a larger stack
 # is solved in parts.  The kernel's buffers grow with k n^2, and from about
 # n = 128 up a round's products cost far more than its numpy calls, which is
-# all a stack saves (README: the stacked kernel)
+# all a stack saves (README: the round-robin kernel)
 STACK_MAX_ENTRIES = 1 << 16
 # Most rotations of the cyclic kernel's sweep that one generated function
-# runs (README: the timings and the peak RSS that chose it)
+# runs (README: the cyclic kernel, and what chose it)
 CYCLIC_ROTATION_BUDGET = 14
 
 
@@ -253,7 +256,8 @@ def _round_robin_kernel(a, vectors, max_sweeps, rel_tol, norms):
     diagonals = np.full((k, n), math.nan)
     bases = np.full((k, n if vectors else 0, n), math.nan)
     # one J per matrix: a round overwrites the diagonal, which every round
-    # covers, and zeroes its off-diagonal entries once the products used them
+    # covers, and zeroes its off-diagonal entries once the products used them,
+    # so no entry of J outlives its round
     j = np.zeros((k, big, big))
     # J^T A and the convergence test's squares, and the other basis buffer
     y, v_next = np.empty_like(x), np.empty_like(v)
@@ -273,9 +277,10 @@ def _round_robin_kernel(a, vectors, max_sweeps, rel_tol, norms):
                 sweeps[slots[done]] = sweep
                 rotating = ~done
                 slots, tol, floor = slots[rotating], tol[rotating], floor[rotating]
-                # moved to the front in place: an entry moves to a slot at or before its own
+                # moved to the front in place: an entry moves to a slot at or before its own.
+                # J holds no state between rounds, so it stays
                 for to, at in enumerate(np.flatnonzero(rotating)):
-                    x[to], v[to], j[to] = x[at], v[at], j[at]
+                    x[to], v[to] = x[at], v[at]
                 x, v, j, y, v_next = (w[:len(slots)] for w in (x, v, j, y, v_next))
             if sweep == max_sweeps or not len(x):
                 break
@@ -527,20 +532,14 @@ def _min_eigenvalues(xs: np.ndarray) -> list:
     with the bits of ``eig_sym(x, vectors=False).eigenvalues[0]``, or in its
     place the NumericalError that its solve raised, which fails no other.
 
-    From ``ROUND_ROBIN_MIN_DIM`` up the stack goes through the round-robin
-    kernel at once, in parts of at most ``STACK_MAX_ENTRIES`` entries; below
-    it, each matrix through ``eig_sym``: the cyclic kernel is scalar Python
-    and gains nothing from a stack.
+    Each norm is computed once, and the matrices whose norm is finite are
+    solved in parts, each part's smallest eigenvalue read off its diagonal.
+    From ``ROUND_ROBIN_MIN_DIM`` up a part is a stack of at most
+    ``STACK_MAX_ENTRIES`` entries, solved by the round-robin kernel at once;
+    below it a part is one matrix, solved by the cyclic kernel, which is
+    scalar Python and gains nothing from a stack.
     """
     n = _as_square(xs[0]).shape[0] if len(xs) else 0
-    if n < ROUND_ROBIN_MIN_DIM:
-        out = []
-        for x in xs:
-            try:
-                out.append(float(eig_sym(x, vectors=False).eigenvalues[0]))
-            except NumericalError as exc:
-                out.append(exc)
-        return out
     out, norms = [None] * len(xs), []
     for i, x in enumerate(xs):
         try:
@@ -548,13 +547,15 @@ def _min_eigenvalues(xs: np.ndarray) -> list:
         except NumericalError as exc:
             out[i] = exc
     solved = [i for i, value in enumerate(out) if value is None]
-    step = max(1, STACK_MAX_ENTRIES // (n * n))
+    step = 1 if n < ROUND_ROBIN_MIN_DIM else max(1, STACK_MAX_ENTRIES // (n * n))
+    settings = (False, MAX_SWEEPS, OFF_DIAG_REL_TOL)  # eigenvalues only
     for part in range(0, len(solved), step):
         at = solved[part:part + step]
-        # consecutive matrices are a view of the stack, not a copy
-        a = xs[at[0]:at[-1] + 1] if at[-1] - at[0] == len(at) - 1 else xs[at]
-        diagonals, _, sweeps = _round_robin_kernel(a, False, MAX_SWEEPS, OFF_DIAG_REL_TOL,
-                                                   norms[part:part + step])
+        if n < ROUND_ROBIN_MIN_DIM:
+            diagonal, _, used = _jacobi_kernel(xs[at[0]], *settings, norms[part])
+            diagonals, sweeps = (diagonal,), (used,)
+        else:  # the kernel copies each part into its work matrices
+            diagonals, _, sweeps = _round_robin_kernel(xs[at], *settings, norms[part:part + step])
         for i, diagonal, used in zip(at, diagonals, sweeps):
             # min keeps the first of equal values, as the stable sort of eig_sym does
             out[i] = _unconverged() if used < 0 else min(diagonal)

@@ -121,6 +121,17 @@ class TestMatrixFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entries_rejected(self, tmp_path, capsys, token):
+        # Python's json reads these tokens as floats; the matrix check refuses them
+        p = tmp_path / "nonfinite.json"
+        p.write_text('{"dim": 2, "data": [[2.0, 0.0], [0.0, %s]]}' % token)
+        assert main(["check", "--matrix-a", str(p), "--matrix-b", str(p),
+                     "--v", "0.5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == \
+            ("", f"error: {p}: matrix entries must be finite\n")
+
 
 class TestCheck:
     def test_same_matrix_passes_with_zero_residuals(self, tmp_path, capsys):

@@ -377,7 +377,7 @@ def test_an_unconverged_matrix_fails_alone(n):
 class TestStackedLoewner:
     """A stack given to ``loewner_geq_zero`` gives each matrix's own verdict."""
 
-    @pytest.mark.parametrize("n", [2, 8, 15, 16, 17, 32])
+    @pytest.mark.parametrize("n", [1, 2, 8, 14, 15, 16, 17, 32])
     def test_each_verdict_is_the_solo_verdict(self, n):
         xs = stack_cases(n)
         xs[-1] = xs[-1] + 3.0 * np.eye(n)  # positive definite: a verdict that holds
@@ -389,7 +389,7 @@ class TestStackedLoewner:
             assert np.float64(got.min_eig).tobytes() == np.float64(solo.min_eig).tobytes()
         assert {v.holds for v in stacked} == {True, False}
 
-    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("n", [3, 14, 16])
     def test_a_failed_solve_is_reported_in_its_place(self, n, monkeypatch):
         rng = np.random.default_rng(19)
         xs = np.array([np.eye(n), np.full((n, n), 1e200), random_symmetric(rng, n),

@@ -95,8 +95,8 @@ def test_row_text_cache_holds_one_entry_per_row_state(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 16])
 def test_normalized_margin_is_min_eig_itself_at_scale_one(n):
-    """At ||R||_F <= 1 the normalized margin is the min_eig float itself, so
-    the writer reprs it once; the text is still json.dumps's."""
+    """At ||R||_F <= 1 the normalized margin equals min_eig, so the writer
+    reuses min_eig's text for it; the text is still json.dumps's."""
     pair = PairContext(*certify.gen_instance(n, 1.2, 5.0, 3))
     v = 0.5
     report = cli.certify_weight(pair, v, DEFAULT_LOEWNER_TOL)
@@ -107,7 +107,7 @@ def test_normalized_margin_is_min_eig_itself_at_scale_one(n):
         if r.verdict is not None:
             res = certify._residual(r.statement, nabla, sharp, harm, pair.a.mat)
             norm = float(np.linalg.norm(res))
-            same.append(r.verdict.min_eig_normalized is r.verdict.min_eig)
+            same.append(r.verdict.min_eig_normalized == r.verdict.min_eig)
             assert same[-1] == (norm <= 1.0)
             if not same[-1]:
                 assert r.verdict.min_eig_normalized == r.verdict.min_eig / norm

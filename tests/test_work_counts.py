@@ -1,0 +1,65 @@
+"""Smoke tests of tools/work_counts.py: its counts are the solves made, and it runs."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from meancert import certify, cli
+from meancert.eigen import DEFAULT_LOEWNER_TOL
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "work_counts.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("work_counts", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_dim6_report_counts_one_solve_per_eig_sym_call(monkeypatch):
+    work_counts = load_tool()
+    a, b = certify.gen_instance(6, 0.5, 3.0, 5)
+    calls = []
+    real = sys.modules["meancert.eigen"].eig_sym
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # below n = 15 every solve goes through eig_sym, at each of its bindings
+    for name, module in list(sys.modules.items()):
+        if name.startswith("meancert"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    with work_counts.counting() as counts:
+        report = cli.certify_pair(a, b, 0.5, DEFAULT_LOEWNER_TOL)
+    assert report.overall_pass
+    got = counts.as_dict()
+    assert got["solves"] == {"cyclic": {"6": len(calls)}, "round_robin": {}}
+    assert got["n3"] == len(calls) * 6 ** 3
+    assert 0 < got["loewner_checks"] < len(calls)
+    # the counting wrappers are gone once the block exits
+    assert sys.modules["meancert.certify"].loewner_geq_zero is \
+        sys.modules["meancert.eigen"].loewner_geq_zero
+
+
+def test_the_tool_prints_one_line_per_workload():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [line["workload"] for line in lines] == ["ensemble-small", "sweep-reuse",
+                                                     "check-large"]
+    for line in lines:
+        assert set(line["exits"]) <= {cli.EXIT_PASS, cli.EXIT_BOUND_FAILED}
+        assert line["reports"] > 0 and line["loewner_checks"] > 0
+        solves = [(int(n), k) for by_n in line["solves"].values() for n, k in by_n.items()]
+        assert line["n3"] == sum(n ** 3 * k for n, k in solves) > 0
+    # n = 32 runs the round-robin kernel, the smaller dimensions the cyclic one
+    assert lines[2]["solves"]["cyclic"] == {} and lines[2]["solves"]["round_robin"]["32"] > 0
