@@ -25,16 +25,18 @@ import numpy as np
 
 from . import scalars
 from .eigen import (
+    CYCLIC_STACK_MIN,
     DEFAULT_LOEWNER_TOL,
     MAX_DIM,
     ROUND_ROBIN_MIN_DIM,
+    STACK_MAX_ENTRIES,
     LoewnerVerdict,
     SymPDMatrix,
     _frobenius_norm,
     loewner_geq_zero,
     mat_fpow,
 )
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, InputError, MeanCertError, NumericalError
 from .means import op_harm, op_nabla, op_sharp
 from .sandwich import (
     ABOVE,
@@ -328,6 +330,99 @@ def _stacked_checks(residuals: dict, tol_rel: float) -> dict:
     return {key: (lv, max(1.0, norms[key])) for key, lv in zip(keys, verdicts)}
 
 
+def _residual_rows(pair: PairContext, v: float, bounds: list[BoundStatement],
+                   residuals: dict, place: int) -> list:
+    """Each bound with the key of its residual at weight v, None when it does
+    not apply; each new residual is added to ``residuals`` under its key.
+
+    A key is ``place``, the weight's place in its chunk, and the residual's
+    bytes after adding 0.0, which turns every -0.0 entry into 0.0: so rows
+    of one weight whose residuals are equal up to the signs of zero entries
+    share the first one's residual, and no two weights share one.
+    """
+    nabla = op_nabla(pair.a, pair.b, v)
+    sharp = op_sharp(pair, v)
+    harm = (op_harm(pair, v)
+            if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+        for bound in bounds:
+            key = None
+            if bound.applicable:
+                res = _residual(bound, nabla, sharp, harm, pair.a.mat)
+                key = (place, (res + 0.0).tobytes())
+                residuals.setdefault(key, res)
+            rows.append((bound, key))
+    return rows
+
+
+def _judge(rows: list, residuals: dict, checked: dict, tol_rel: float, instance: dict | None,
+           comparison: dict | None) -> CertReport:
+    """One weight's report from its rows, read in table order.  A key that
+    ``checked`` lacks is checked when a row first reaches it, and only checks
+    that returned are kept."""
+    results = []
+    for bound, key in rows:
+        if key is None:
+            results.append(BoundResult(bound, None))
+            continue
+        try:
+            if key not in checked:
+                checked[key] = _loewner_check(residuals[key], bound.constant, tol_rel)
+            lv, scale = checked[key]
+            if isinstance(lv, NumericalError):
+                raise lv
+        except NumericalError as exc:
+            if not bound.literature:
+                raise NumericalError(f"bound {bound.name}: {exc}") from exc
+            results.append(BoundResult(replace(
+                bound, constant=None, applicable=False,
+                applicability_reason=f"not checkable in floating point: {exc}"), None))
+            continue
+        results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig, lv.min_eig / scale)))
+    return CertReport(instance=instance or {}, results=tuple(results), comparison=comparison)
+
+
+def verify_weights(pair: PairContext, weights, tol_rel: float = DEFAULT_LOEWNER_TOL) -> list:
+    """``verify`` at each weight of ``weights``, an iterable of
+    ``(v, bounds, instance, comparison)`` read one weight at a time; the
+    reports in order.
+
+    The weights are certified in chunks.  A chunk builds every weight's
+    residuals, checks its distinct residuals, and judges the weights one by
+    one.  It closes once its residuals hold ``STACK_MAX_ENTRIES`` entries,
+    so memory does not grow with the number of weights.  The distinct
+    residuals of finite norm are checked as one stack from
+    ``ROUND_ROBIN_MIN_DIM`` up, or when there are at least
+    ``CYCLIC_STACK_MIN`` of them, which one weight never has; otherwise
+    each is checked when a row first reaches it.  A weight whose means or
+    whose entry of ``weights`` raise a MeanCertError ends the chunk: the
+    weights before it are judged first, then that error is raised.  So the
+    first error raised is the one a run of one weight at a time would raise.
+    """
+    n, reports, weights, done = pair.a.dim, [], iter(weights), False
+    while not done:
+        pending, residuals, error = [], {}, None
+        try:
+            for v, bounds, instance, comparison in weights:
+                pending.append((_residual_rows(pair, v, bounds, residuals, len(pending)),
+                                instance, comparison))
+                if len(residuals) * n * n >= STACK_MAX_ENTRIES:
+                    break
+            else:
+                done = True
+        except MeanCertError as exc:
+            error = exc
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+            checked = (_stacked_checks(residuals, tol_rel)
+                       if n >= ROUND_ROBIN_MIN_DIM or len(residuals) >= CYCLIC_STACK_MIN else {})
+            reports += [_judge(rows, residuals, checked, tol_rel, instance, comparison)
+                        for rows, instance, comparison in pending]
+        if error is not None:
+            raise error
+    return reports
+
+
 def verify(
     pair: PairContext,
     v: float,
@@ -342,48 +437,15 @@ def verify(
     checked at ``tol_rel``; the smallest eigenvalue of R is reported raw and
     divided by max(1, ||R||_F), the scale the check compares it against.
     Rows whose residuals are equal, up to the signs of zero entries, share
-    one check and so one verdict.  Every residual is built first.  From
-    ``ROUND_ROBIN_MIN_DIM`` up the distinct ones are checked as one stack;
-    below it each is checked when a row first reaches it, and only checks
-    that returned are kept.  The rows are read in table order either way,
-    so a row that raises raises in table order.
+    one check and so one verdict.  This is the one-weight case of
+    ``verify_weights``: every residual is built first; from
+    ``ROUND_ROBIN_MIN_DIM`` up the distinct ones are checked as one stack,
+    and below it each is checked when a row first reaches it.  The rows are
+    read in table order either way, so a row that raises raises in table
+    order.
     """
-    nabla = op_nabla(pair.a, pair.b, v)
-    sharp = op_sharp(pair, v)
-    harm = (op_harm(pair, v)
-            if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
-    residuals: dict[bytes, np.ndarray] = {}
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
-        for bound in bounds:
-            key = None
-            if bound.applicable:
-                res = _residual(bound, nabla, sharp, harm, pair.a.mat)
-                key = (res + 0.0).tobytes()  # -0.0 + 0.0 is 0.0: equal residuals share a key
-                residuals.setdefault(key, res)
-            rows.append((bound, key))
-        checked = (_stacked_checks(residuals, tol_rel)
-                   if pair.a.dim >= ROUND_ROBIN_MIN_DIM else {})
-        results = []
-        for bound, key in rows:
-            if key is None:
-                results.append(BoundResult(bound, None))
-                continue
-            try:
-                if key not in checked:
-                    checked[key] = _loewner_check(residuals[key], bound.constant, tol_rel)
-                lv, scale = checked[key]
-                if isinstance(lv, NumericalError):
-                    raise lv
-            except NumericalError as exc:
-                if not bound.literature:
-                    raise NumericalError(f"bound {bound.name}: {exc}") from exc
-                results.append(BoundResult(replace(
-                    bound, constant=None, applicable=False,
-                    applicability_reason=f"not checkable in floating point: {exc}"), None))
-                continue
-            results.append(BoundResult(bound, Verdict(lv.holds, lv.min_eig, lv.min_eig / scale)))
-    return CertReport(instance=instance or {}, results=tuple(results), comparison=comparison)
+    (report,) = verify_weights(pair, ((v, bounds, instance, comparison),), tol_rel)
+    return report
 
 
 def compare_constants(h: float, v: float) -> dict:

@@ -235,8 +235,9 @@ def _write_out(text: str, out: str | None):
             raise InputError(f"stdout: {_reason(exc)}") from exc
 
 
-def certify_weight(pair: PairContext, v: float, tol: float) -> CertReport:
-    """The per-weight step: catalog and verify at v, reusing the pair's spectral work.
+def _weight(pair: PairContext, v: float, tol: float) -> tuple:
+    """What ``verify`` takes for one weight besides the pair and tolerance:
+    ``(v, bounds, instance, comparison)``, from the pair's spectral work.
 
     The arguments are checked before the context's first eigensolve.
     """
@@ -259,8 +260,15 @@ def certify_weight(pair: PairContext, v: float, tol: float) -> CertReport:
                         "degenerate": ubox.degenerate},
         "spectral_box": None,
     }
-    return verify(pair, v, bounds, tol, instance=instance,
-                  comparison=certify.comparison_of(sw, v))
+    return v, bounds, instance, certify.comparison_of(sw, v)
+
+
+def certify_weight(pair: PairContext, v: float, tol: float) -> CertReport:
+    """The per-weight step: catalog and verify at v, reusing the pair's
+    spectral work.  ``verify`` is the one-weight case of
+    ``certify.verify_weights``, which ``sweep`` runs on its whole grid."""
+    v, bounds, instance, comparison = _weight(pair, v, tol)
+    return verify(pair, v, bounds, tol, instance=instance, comparison=comparison)
 
 
 def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertReport:
@@ -302,7 +310,10 @@ def _grid(name: str, bounds, space=np.linspace, least=-math.inf,
 def cmd_sweep(args) -> int:
     _check_out(args.out)
     pair = PairContext(*_load_pair(args))
-    reports = [certify_weight(pair, v, args.tol) for v in _grid("v", args.v_range)]
+    # the weights' Loewner checks are solved in chunks; each report has the
+    # bits of a one-weight run, and a failing weight raises what its run would
+    weights = (_weight(pair, v, args.tol) for v in _grid("v", args.v_range))
+    reports = certify.verify_weights(pair, weights, args.tol)
     _write_out(reports_to_csv(reports), args.out)
     return _exit_code(reports)
 

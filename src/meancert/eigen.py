@@ -13,9 +13,13 @@ through numpy, to one matrix or a (k, n, n) stack.  Each kernel takes the
 caller's raw matrix (or stack) and its norm, solves (X + X^T) / 2 without
 writing X, and returns the diagonal, the basis V (None for eigenvalues only)
 and the sweep count; the round-robin kernel returns one of each per matrix.
-A stack of Loewner checks is solved by one loop over parts at every
-dimension: a part is one matrix on the cyclic kernel and a stack on the
-round-robin kernel.
+The cyclic kernel also has a stacked, eigenvalues-only form, which runs its
+float operations in its order across a stack through numpy, so each matrix
+keeps its bits.  A stack of Loewner checks is solved by one loop over parts
+at every dimension: below ``ROUND_ROBIN_MIN_DIM`` a part of fewer than
+``CYCLIC_STACK_MIN`` matrices is solved one matrix at a time on the cyclic
+kernel and a larger one on its stacked form; from there up a part is a
+stack on the round-robin kernel.
 """
 
 from __future__ import annotations
@@ -37,10 +41,17 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # Smallest dimension the round-robin kernel takes; below it the cyclic
 # kernel runs (README: the crossover, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
-# Most matrix entries, k n^2, in one stacked round-robin solve; a larger stack
-# is solved in parts.  The kernel's buffers grow with k n^2, and from about
-# n = 128 up a round's products cost far more than its numpy calls, which is
-# all a stack saves (README: the round-robin kernel)
+# Fewest matrices below ROUND_ROBIN_MIN_DIM that a stack of Loewner checks
+# solves at once on the stacked cyclic kernel; a smaller stack is solved one
+# matrix at a time.  verify_weights reads it too: a chunk's distinct residuals
+# are stacked from here up, and one weight has at most 13 of them (README: the
+# stacked cyclic kernel, and its crossover)
+CYCLIC_STACK_MIN = 32
+# Most matrix entries, k n^2, in one stacked solve; a larger stack is solved
+# in parts, and a sweep's chunk of residuals closes once it holds this many.
+# The kernels' buffers grow with k n^2, and from about n = 128 up a round's
+# products cost far more than its numpy calls, which is all a stack saves
+# (README: the round-robin kernel)
 STACK_MAX_ENTRIES = 1 << 16
 # Most rotations of the cyclic kernel's sweep that one generated function
 # runs (README: the cyclic kernel, and what chose it)
@@ -154,6 +165,116 @@ def _jacobi_kernel(x, vectors, max_sweeps, rel_tol, norm):
         for run in runs:
             u = run(u, w, rotate_floor)
     return diagonal(u), np.array(w).T if vectors else None, sweep
+
+
+def _cyclic_stack_kernel(a, max_sweeps, rel_tol, norms):
+    """``_jacobi_kernel``'s eigenvalues-only solve of every matrix of a stack at once.
+
+    ``a`` is a stack of k n x n matrices shaped (k, n, n), which is never
+    written, and ``norms`` their k norms.  The work stack holds the k
+    symmetrized matrices entry-major, shaped (n, n, k), so row i of every
+    matrix is one (n, k) block and each rotation (p, q) of the cyclic loop
+    over p < q is a few numpy calls across the stack.  Every matrix runs the
+    float operations of its own ``_jacobi_kernel`` solve, in its order:
+    (X + X^T) / 2 is formed as there, the off-diagonal mass is summed in row
+    order (``add.accumulate`` is sequential), each rotation updates rows p
+    and q of every matrix with the kernel's formulas, and a matrix whose
+    (p, q) entry is at or below its rotation floor keeps every entry.  At
+    the start of a sweep a matrix that has converged has its diagonal taken
+    and leaves the stack, so every diagonal and sweep count keeps its bits.
+
+    Returns ``(diagonals, sweeps)``: each matrix's diagonal as a list, and
+    the list of sweeps used, -1 for a matrix whose off-diagonal mass did not
+    drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps; such a matrix
+    has NaN for its diagonal and leaves the others unaffected.
+    """
+    k, n = a.shape[:2]
+    sweeps = np.full(k, -1)
+    diagonals = np.full((k, n), math.nan)
+    slots = np.arange(k)  # the stack entry of each matrix still rotating
+    norm = np.array(norms, dtype=float)
+    tol = rel_tol * norm
+    floor = 0.01 * rel_tol * norm / (n * n)
+    x = np.add(a, a.transpose(0, 2, 1)).transpose(1, 2, 0)
+    x = np.multiply(x, 0.5, order="C")
+    rows, cols = np.triu_indices(n, 1)  # the upper triangle in row order
+    at = range(n)
+    m = 0  # the stack's size when its buffers were last allocated
+    # a pair at or below the floor may divide by zero here; it keeps its entries
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sweep in range(max_sweeps + 1):
+            upper = x[rows, cols]
+            terms = upper * 2.0
+            terms *= upper
+            off = np.add.accumulate(terms, axis=0)[-1] if len(terms) else np.zeros(len(slots))
+            done = np.sqrt(off) <= tol
+            if done.any():
+                diagonals[slots[done]] = x[at, at][:, done].T
+                sweeps[slots[done]] = sweep
+                rotating = ~done
+                x = np.ascontiguousarray(x[:, :, rotating])
+                slots, tol, floor = slots[rotating], tol[rotating], floor[rotating]
+            if sweep == max_sweeps or not len(slots):
+                break
+            if len(slots) != m:
+                m = len(slots)
+                theta, work, t, c, s, tau, t_apq, new_pp, new_qq, new_pq = np.empty((10, m))
+                skip, negative = np.empty((2, m), dtype=bool)
+                new_p, new_q = np.empty((2, n, m))
+            for p in range(n - 1):
+                x_p, app = x[p], x[p, p]
+                for q in range(p + 1, n):
+                    x_q, aqq, apq = x[q], x[q, q], x[p, q]
+                    np.abs(apq, out=work)
+                    np.less_equal(work, floor, out=skip)
+                    skipped = np.count_nonzero(skip)
+                    if skipped == m:
+                        continue
+                    np.subtract(aqq, app, out=theta)
+                    np.multiply(theta, 0.5, out=theta)
+                    np.divide(theta, apq, out=theta)
+                    np.multiply(theta, theta, out=work)
+                    np.add(work, 1.0, out=work)
+                    np.sqrt(work, out=work)
+                    np.abs(theta, out=t)
+                    np.add(t, work, out=t)
+                    np.divide(1.0, t, out=t)
+                    np.less(theta, 0.0, out=negative)
+                    np.negative(t, out=t, where=negative)
+                    np.multiply(t, t, out=c)
+                    np.add(c, 1.0, out=c)
+                    np.sqrt(c, out=c)
+                    np.divide(1.0, c, out=c)
+                    np.multiply(t, c, out=s)
+                    np.add(c, 1.0, out=tau)
+                    np.divide(s, tau, out=tau)
+                    np.multiply(t, apq, out=t_apq)
+                    np.subtract(app, t_apq, out=new_pp)
+                    np.add(aqq, t_apq, out=new_qq)
+                    new_pq.fill(0.0)
+                    # row p: a_ip - s (a_iq + tau a_ip); row q: a_iq + s (a_ip - tau a_iq)
+                    np.multiply(x_p, tau, out=new_p)
+                    np.add(new_p, x_q, out=new_p)
+                    np.multiply(new_p, s, out=new_p)
+                    np.subtract(x_p, new_p, out=new_p)
+                    np.multiply(x_q, tau, out=new_q)
+                    np.subtract(x_p, new_q, out=new_q)
+                    np.multiply(new_q, s, out=new_q)
+                    np.add(x_q, new_q, out=new_q)
+                    if skipped:
+                        for new, old in ((new_p, x_p), (new_q, x_q), (new_pp, app),
+                                         (new_qq, aqq), (new_pq, apq)):
+                            np.copyto(new, old, where=skip)
+                    # rows and columns p and q, then the rotated block's own entries
+                    x_p[...] = new_p
+                    x_q[...] = new_q
+                    x[:, p] = new_p
+                    x[:, q] = new_q
+                    app[...] = new_pp
+                    aqq[...] = new_qq
+                    apq[...] = new_pq
+                    x[q, p] = new_pq
+    return diagonals.tolist(), sweeps.tolist()
 
 
 @functools.cache
@@ -533,11 +654,12 @@ def _min_eigenvalues(xs: np.ndarray) -> list:
     place the NumericalError that its solve raised, which fails no other.
 
     Each norm is computed once, and the matrices whose norm is finite are
-    solved in parts, each part's smallest eigenvalue read off its diagonal.
-    From ``ROUND_ROBIN_MIN_DIM`` up a part is a stack of at most
-    ``STACK_MAX_ENTRIES`` entries, solved by the round-robin kernel at once;
-    below it a part is one matrix, solved by the cyclic kernel, which is
-    scalar Python and gains nothing from a stack.
+    solved in parts of at most ``STACK_MAX_ENTRIES`` entries, each part's
+    smallest eigenvalues read off its diagonals.  From
+    ``ROUND_ROBIN_MIN_DIM`` up a part is solved by the round-robin kernel at
+    once.  Below it a part of at least ``CYCLIC_STACK_MIN`` matrices is
+    solved by the stacked cyclic kernel, and a smaller one matrix by matrix
+    by the cyclic kernel, which is faster alone; both give the same bits.
     """
     n = _as_square(xs[0]).shape[0] if len(xs) else 0
     out, norms = [None] * len(xs), []
@@ -547,15 +669,20 @@ def _min_eigenvalues(xs: np.ndarray) -> list:
         except NumericalError as exc:
             out[i] = exc
     solved = [i for i, value in enumerate(out) if value is None]
-    step = 1 if n < ROUND_ROBIN_MIN_DIM else max(1, STACK_MAX_ENTRIES // (n * n))
-    settings = (False, MAX_SWEEPS, OFF_DIAG_REL_TOL)  # eigenvalues only
+    step = max(1, STACK_MAX_ENTRIES // max(1, n * n))
     for part in range(0, len(solved), step):
-        at = solved[part:part + step]
-        if n < ROUND_ROBIN_MIN_DIM:
-            diagonal, _, used = _jacobi_kernel(xs[at[0]], *settings, norms[part])
-            diagonals, sweeps = (diagonal,), (used,)
-        else:  # the kernel copies each part into its work matrices
-            diagonals, _, sweeps = _round_robin_kernel(xs[at], *settings, norms[part:part + step])
+        at, part_norms = solved[part:part + step], norms[part:part + step]
+        # the kernels copy each part into their work matrices; eigenvalues only
+        if n >= ROUND_ROBIN_MIN_DIM:
+            diagonals, _, sweeps = _round_robin_kernel(xs[at], False, MAX_SWEEPS,
+                                                       OFF_DIAG_REL_TOL, part_norms)
+        elif len(at) >= CYCLIC_STACK_MIN:
+            diagonals, sweeps = _cyclic_stack_kernel(xs[at], MAX_SWEEPS, OFF_DIAG_REL_TOL,
+                                                     part_norms)
+        else:
+            diagonals, _, sweeps = zip(*(
+                _jacobi_kernel(xs[i], False, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+                for i, norm in zip(at, part_norms)))
         for i, diagonal, used in zip(at, diagonals, sweeps):
             # min keeps the first of equal values, as the stable sort of eig_sym does
             out[i] = _unconverged() if used < 0 else min(diagonal)

@@ -133,7 +133,9 @@ class PairContext:
     The parts are C = A^(-1/2) B A^(-1/2), the sandwich, the relative
     spectrum with its eigenvectors, A^(1/2) and the uniform box, each
     computed by the same operations as for a single weight, so every
-    weight's report has the same bits as a one-weight run.  C is formed
+    weight's report has the same bits as a one-weight run, whether a sweep
+    solves a weight's Loewner checks alone or stacked with other weights'
+    (``certify.verify_weights``).  C is formed
     once and both solves of it read it.  The sandwich keeps its own
     eigenvalues-only solve (perfbench pins a one-weight report at 11
     eigensolves), so a pair solves its relative spectrum twice in all.

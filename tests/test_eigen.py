@@ -374,28 +374,59 @@ def test_an_unconverged_matrix_fails_alone(n):
         assert_same_solve(diagonals[i], bases[i], sweeps[i], diag, solo_bases[0], solo_sweeps)
 
 
+def cyclic_stack_sizes(monkeypatch, crossover):
+    """Set ``CYCLIC_STACK_MIN`` to ``crossover`` (unchanged when None) and
+    return the list of the sizes of the stacks the stacked cyclic kernel is
+    then given."""
+    sizes, real = [], eigen._cyclic_stack_kernel
+
+    def spy(a, *args):
+        sizes.append(len(a))
+        return real(a, *args)
+
+    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", spy)
+    if crossover is not None:
+        monkeypatch.setattr(eigen, "CYCLIC_STACK_MIN", crossover)
+    return sizes
+
+
+def with_stacked_cyclic(dims, stacked_dims):
+    """(n, crossover) cases: each n of ``dims`` as is, then each n of
+    ``stacked_dims`` with the crossover forced to 1, so that below
+    ``ROUND_ROBIN_MIN_DIM`` the stacked cyclic kernel solves the stack."""
+    return [*(pytest.param(n, None, id=str(n)) for n in dims),
+            *(pytest.param(n, 1, id=f"stacked-cyclic-{n}") for n in stacked_dims)]
+
+
 class TestStackedLoewner:
     """A stack given to ``loewner_geq_zero`` gives each matrix's own verdict."""
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 14, 15, 16, 17, 32])
-    def test_each_verdict_is_the_solo_verdict(self, n):
+    @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([1, 2, 8, 14, 15, 16, 17, 32],
+                                                                [1, 2, 8, 14]))
+    def test_each_verdict_is_the_solo_verdict(self, n, crossover, monkeypatch):
+        sizes = cyclic_stack_sizes(monkeypatch, crossover)
         xs = stack_cases(n)
         xs[-1] = xs[-1] + 3.0 * np.eye(n)  # positive definite: a verdict that holds
         stacked = loewner_geq_zero(xs, 1e-9)
         assert isinstance(stacked, tuple) and len(stacked) == len(xs)
+        # 7 matrices are below the measured crossover, so only a forced one stacks them
+        assert sizes == ([len(xs)] if crossover == 1 else [])
         for x, got in zip(xs, stacked):
             solo = loewner_geq_zero(x, 1e-9)
             assert got.holds == solo.holds
             assert np.float64(got.min_eig).tobytes() == np.float64(solo.min_eig).tobytes()
         assert {v.holds for v in stacked} == {True, False}
 
-    @pytest.mark.parametrize("n", [3, 14, 16])
-    def test_a_failed_solve_is_reported_in_its_place(self, n, monkeypatch):
+    @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([3, 14, 16], [3, 14]))
+    def test_a_failed_solve_is_reported_in_its_place(self, n, crossover, monkeypatch):
+        sizes = cyclic_stack_sizes(monkeypatch, crossover)
         rng = np.random.default_rng(19)
         xs = np.array([np.eye(n), np.full((n, n), 1e200), random_symmetric(rng, n),
                        np.diag(np.arange(1.0, n + 1.0))])
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
         got = loewner_geq_zero(xs)
+        # the matrix whose norm overflows is never handed to a kernel
+        assert sizes == ([len(xs) - 1] if crossover == 1 else [])
         assert isinstance(got[1], NumericalError) and str(got[1]) == \
             "matrix Frobenius norm overflowed"
         assert isinstance(got[2], NumericalError) and str(got[2]) == \
@@ -432,6 +463,52 @@ class TestStackedLoewner:
         xs[1, 0, 0] = math.nan
         with pytest.raises(InputError, match="finite"):
             loewner_geq_zero(xs)
+
+
+def cyclic_stack_cases(n):
+    """Matrices of one size for the stacked cyclic kernel: ``stack_cases``, an
+    asymmetric matrix, signed zeros, and matrices whose first rotations are
+    skipped at the rotation floor while the others' turn."""
+    rng = np.random.default_rng(300 + n)
+    signed = random_symmetric(rng, n)
+    signed[::2, ::2] = -0.0  # -0.0 on and off the diagonal, and among rotated entries
+    floored = random_symmetric(rng, n)
+    floored[0, 1:] = floored[1:, 0] = 1e-30  # far below the floor: row 0's rotations skip
+    return np.array([
+        *stack_cases(n),
+        rng.standard_normal((n, n)),
+        np.full((n, n), -0.0),
+        signed,
+        floored,
+        np.diag(np.arange(1.0, n + 1.0)) + 1e-30 * random_symmetric(rng, n),
+    ])
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 2, eigen.MAX_SWEEPS])
+@pytest.mark.parametrize("n", range(1, eigen.ROUND_ROBIN_MIN_DIM))
+def test_cyclic_stack_kernel_has_the_cyclic_kernels_bits(n, max_sweeps):
+    """Every diagonal and sweep count of a stacked solve is that of the
+    matrix's own ``_jacobi_kernel`` solve, by its bytes; a matrix that does
+    not converge within ``max_sweeps`` fails alone, with a NaN diagonal."""
+    xs = cyclic_stack_cases(n)
+    norms = [frobenius(x) for x in xs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagonals, sweeps = eigen._cyclic_stack_kernel(xs, max_sweeps, eigen.OFF_DIAG_REL_TOL,
+                                                       norms)
+    assert len(diagonals) == len(sweeps) == len(xs)
+    for x, norm, diagonal, used in zip(xs, norms, diagonals, sweeps):
+        solo, _, solo_sweeps = eigen._jacobi_kernel(x, False, max_sweeps,
+                                                    eigen.OFF_DIAG_REL_TOL, norm)
+        assert used == solo_sweeps
+        if used >= 0:
+            assert np.array(diagonal).tobytes() == np.array(solo).tobytes()
+        else:
+            assert np.isnan(diagonal).all()
+    if max_sweeps == eigen.MAX_SWEEPS:
+        assert min(sweeps) >= 0
+    elif max_sweeps == 0 and n > 1:  # some converge at sweep 0, the others fail alone
+        assert 0 in sweeps and -1 in sweeps
 
 
 def reference_cyclic_kernel(a, vec, max_sweeps, rel_tol, norm):
@@ -559,9 +636,13 @@ def test_no_solve_writes_its_input(n):
                                  frobenius(x))
             eigen._round_robin_kernel(x[None], vectors, eigen.MAX_SWEEPS,
                                       eigen.OFF_DIAG_REL_TOL, [frobenius(x)])
+        eigen._cyclic_stack_kernel(x[None], eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
+                                   [frobenius(x)])
         loewner_geq_zero(x)
     slices = stack[::2, :, ::2]
     loewner_geq_zero(slices)
+    eigen._cyclic_stack_kernel(slices, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
+                               [frobenius(x) for x in slices])
     for vectors in (True, False):
         eigen._round_robin_kernel(slices, vectors, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
                                   [frobenius(x) for x in slices])

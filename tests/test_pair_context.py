@@ -2,13 +2,21 @@
 every weight's report keeps the bits of a separate one-weight run."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from meancert import certify, cli, eigen, means, sandwich
 from meancert.cli import EXIT_NUMERICAL, EXIT_PASS, main
-from meancert.eigen import DEFAULT_LOEWNER_TOL, ROUND_ROBIN_MIN_DIM, congruence, mat_fpow
+from meancert.eigen import (
+    CYCLIC_STACK_MIN,
+    DEFAULT_LOEWNER_TOL,
+    ROUND_ROBIN_MIN_DIM,
+    STACK_MAX_ENTRIES,
+    congruence,
+    mat_fpow,
+)
 from meancert.errors import InputError
 
 from test_cli import write_matrix
@@ -42,17 +50,46 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_solves(monkeypatch):
+    """(kernel, input bytes, vectors) of every solve, counted inside the Jacobi
+    kernels, so each matrix of a stacked solve is one solve."""
+    solves = []
+    real_cyclic, real_stack, real_round_robin = (
+        eigen._jacobi_kernel, eigen._cyclic_stack_kernel, eigen._round_robin_kernel)
+
+    def cyclic(x, vectors, *args):
+        solves.append(("cyclic", x.tobytes(), vectors))
+        return real_cyclic(x, vectors, *args)
+
+    def cyclic_stack(a, *args):
+        solves.extend(("cyclic-stack", x.tobytes(), False) for x in a)
+        return real_stack(a, *args)
+
+    def round_robin(a, vectors, *args):
+        solves.extend(("round-robin", x.tobytes(), vectors) for x in a)
+        return real_round_robin(a, vectors, *args)
+
+    monkeypatch.setattr(eigen, "_jacobi_kernel", cyclic)
+    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", cyclic_stack)
+    monkeypatch.setattr(eigen, "_round_robin_kernel", round_robin)
+    return solves
+
+
 @pytest.mark.parametrize("regime", list(PAIRS))
-@pytest.mark.parametrize("n", [4, 16], ids=["cyclic", "round-robin"])
-def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, regime):
+@pytest.mark.parametrize("n", [4, 12, 16], ids=["cyclic", "cyclic-stack", "round-robin"])
+def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, regime, kernel_solves):
     a_path, b_path = _pair_files(tmp_path, n, regime)
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, V_RANGE, out) == EXIT_PASS
     header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
     weights = list(np.linspace(-0.5, 1.5, 9))
     assert 0.0 in weights and 1.0 in weights and len(rows) == len(weights)
-    a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
+    # the grid's Loewner checks ran as one stack, on the kernel its dimension picks
+    kernels = Counter(kernel for kernel, _, _ in kernel_solves)
     assert (n >= ROUND_ROBIN_MIN_DIM) == (n == 16)
+    assert kernels["round-robin" if n == 16 else "cyclic-stack"] >= CYCLIC_STACK_MIN
+    a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
     for v, row in zip(weights, rows):
         alone = cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
         assert cli.reports_to_csv([alone]) == header + row
@@ -77,25 +114,81 @@ def test_sweep_through_a_failing_weight_exits_as_that_check(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_grid_that_fails_after_stacked_weights_exits_as_that_check(tmp_path, capsys,
+                                                                     kernel_solves):
+    # B below A: the geometric mean's smallest eigenvalue falls under the PD
+    # margin near v = 17, after weights whose checks were stacked
+    a, b = certify.gen_instance(12, 0.2, 0.7, 21)
+    a_path = write_matrix(tmp_path / "a.json", a.mat)
+    b_path = write_matrix(tmp_path / "b.json", b.mat)
+    weights = ("0", "20", "81")  # step 0.25
+    first_failure = None
+    for v in np.linspace(0.0, 20.0, 81):
+        code = main(["check", "--matrix-a", a_path, "--matrix-b", b_path, "--v", str(v)])
+        captured = capsys.readouterr()
+        if code == EXIT_NUMERICAL:
+            first_failure = captured.err
+            break
+        assert code == EXIT_PASS
+    assert first_failure is not None and v > 1.0
+    kernel_solves.clear()
+    out = tmp_path / "sweep.csv"
+    assert _sweep(a_path, b_path, weights, out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == first_failure
+    assert not out.exists()
+    assert sum(kernel == "cyclic-stack" for kernel, _, _ in kernel_solves) >= CYCLIC_STACK_MIN
+
+
+def test_a_long_grid_is_checked_in_chunks_within_the_stack_bound(tmp_path, monkeypatch):
+    n = 12
+    a_path, b_path = _pair_files(tmp_path, n, "straddle")
+    chunks, entries = [], []
+    real_checks, real_stack = certify._stacked_checks, eigen._cyclic_stack_kernel
+
+    def checks(residuals, tol_rel):
+        chunks.append(len(residuals))
+        return real_checks(residuals, tol_rel)
+
+    def cyclic_stack(a, *args):
+        entries.append(a.size)
+        return real_stack(a, *args)
+
+    monkeypatch.setattr(certify, "_stacked_checks", checks)
+    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", cyclic_stack)
+    out = tmp_path / "sweep.csv"
+    assert _sweep(a_path, b_path, ("0", "1", "160"), out) == EXIT_PASS
+    # a chunk closes once it holds STACK_MAX_ENTRIES entries, and its stack is
+    # solved in parts of at most that many
+    assert len(chunks) >= 2 and all(k * n * n >= STACK_MAX_ENTRIES for k in chunks[:-1])
+    assert entries and max(entries) <= STACK_MAX_ENTRIES
+    header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
+    for v, row in list(zip(np.linspace(0.0, 1.0, 160), rows))[::9]:
+        alone = cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
+        assert cli.reports_to_csv([alone]) == header + row
+
+
 @pytest.mark.parametrize("k", [1, 5, 21])
-def test_sweep_solves_the_relative_spectrum_twice_in_all(tmp_path, eig_calls, k):
+def test_sweep_solves_the_relative_spectrum_twice_in_all(tmp_path, kernel_solves, k):
     a_path, b_path = _pair_files(tmp_path, 4, "straddle")
     a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
     relative = congruence(b.mat, mat_fpow(a, -0.5).mat).tobytes()
     weights = list(np.linspace(-0.5, 1.5, k))
     # the solves of one separate certify_pair per weight, the loads left out
-    per_weight = []
+    per_weight = Counter()
     for v in weights:
-        eig_calls.clear()
+        kernel_solves.clear()
         cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
-        assert [vec for x, vec in eig_calls if x == relative] == [False, True]
-        per_weight += [c for c in eig_calls if c[0] != relative]
-    eig_calls.clear()
+        assert [vec for _, x, vec in kernel_solves if x == relative] == [False, True]
+        per_weight.update((x, vec) for _, x, vec in kernel_solves if x != relative)
+    kernel_solves.clear()
     assert _sweep(a_path, b_path, ("-0.5", "1.5", str(k)), tmp_path / "s.csv") == EXIT_PASS
-    loads, work = eig_calls[:2], eig_calls[2:]
+    work = [(x, vec) for _, x, vec in kernel_solves]
+    loads, work = work[:2], work[2:]
     assert loads == [(a.mat.tobytes(), True), (b.mat.tobytes(), True)]
     assert [vec for x, vec in work if x == relative] == [False, True]
-    assert [c for c in work if c[0] != relative] == per_weight
+    # the same solves, whichever kernel ran them and in whatever order
+    assert Counter(c for c in work if c[0] != relative) == per_weight
 
 
 @pytest.fixture

@@ -63,3 +63,30 @@ def test_the_tool_prints_one_line_per_workload():
         assert line["n3"] == sum(n ** 3 * k for n, k in solves) > 0
     # n = 32 runs the round-robin kernel, the smaller dimensions the cyclic one
     assert lines[2]["solves"]["cyclic"] == {} and lines[2]["solves"]["round_robin"]["32"] > 0
+
+
+def test_the_sweep_line_is_the_same_on_either_cyclic_route(tmp_path, monkeypatch):
+    """The sweep-reuse unit counts the same work whether its Loewner checks run
+    one matrix at a time, on the measured crossover, or stacked at any size."""
+    work_counts = load_tool()
+    monkeypatch.chdir(tmp_path)
+    (argv, _), = work_counts.workloads()["sweep-reuse"]
+    eigen = sys.modules["meancert.eigen"]
+    real, stacked = eigen._cyclic_stack_kernel, []
+
+    def spy(a, *args):
+        stacked.append(len(a))
+        return real(a, *args)
+
+    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", spy)
+    lines = {}
+    for route, crossover in (("solo", eigen.MAX_DIM ** 2), ("crossover", eigen.CYCLIC_STACK_MIN),
+                             ("always", 1)):
+        for module in ("meancert.eigen", "meancert.certify"):
+            monkeypatch.setattr(sys.modules[module], "CYCLIC_STACK_MIN", crossover)
+        stacked.clear()
+        with work_counts.counting() as counts:
+            assert work_counts.run_unit(argv) == cli.EXIT_PASS
+        lines[route] = counts.as_dict()
+        assert bool(stacked) == (route != "solo")
+    assert lines["solo"] == lines["crossover"] == lines["always"]

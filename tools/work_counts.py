@@ -14,9 +14,10 @@ Runs ``meancert.cli.main`` in this process, taking the package from
 - ``check-large``: one ``check`` of an n = 32 pair at v = 0.5.
 
 A unit's counts cover the whole CLI run, the loading of both matrix files
-included.  Solves are counted inside the two Jacobi kernels, so a stacked
-round-robin solve of k matrices counts k solves; a Loewner check on a stack
-of k matrices counts k checks.  None of the counts depends on the host's
+included.  Solves are counted inside the Jacobi kernels, so a stacked
+solve of k matrices counts k solves, under ``round_robin`` or, for the
+stacked form of the cyclic kernel, ``cyclic``; a Loewner check on a stack of
+k matrices counts k checks.  None of the counts depends on the host's
 speed.  Each output line is one JSON object per workload:
 ``reports``, the reports its units wrote, ``exits``, each unit's exit code,
 ``solves``, per kernel the solves at each n, ``n3``, the sum of n^3 over
@@ -74,11 +75,16 @@ def counting():
     """
     counts = Counts()
     real_cyclic, real_round_robin = eigen._jacobi_kernel, eigen._round_robin_kernel
+    real_cyclic_stack = eigen._cyclic_stack_kernel
     real_loewner, real_fpow = eigen.loewner_geq_zero, eigen.mat_fpow
 
     def cyclic(x, *args):
         counts.solves["cyclic"][len(x)] += 1
         return real_cyclic(x, *args)
+
+    def cyclic_stack(a, *args):
+        counts.solves["cyclic"][a.shape[-1]] += len(a)
+        return real_cyclic_stack(a, *args)
 
     def round_robin(a, *args):
         counts.solves["round_robin"][a.shape[-1]] += len(a)
@@ -93,7 +99,8 @@ def counting():
         return real_fpow(x, p)
 
     wrappers = {id(real): wrapper for real, wrapper in (
-        (real_cyclic, cyclic), (real_round_robin, round_robin),
+        (real_cyclic, cyclic), (real_cyclic_stack, cyclic_stack),
+        (real_round_robin, round_robin),
         (real_loewner, loewner_geq_zero), (real_fpow, mat_fpow))}
     replaced = []
     modules = [m for name, m in sys.modules.items()
