@@ -43,9 +43,9 @@ DEFAULT_LOEWNER_TOL = 1e-9
 ROUND_ROBIN_MIN_DIM = 15
 # Fewest matrices below ROUND_ROBIN_MIN_DIM that a stack of Loewner checks
 # solves at once on the stacked cyclic kernel; a smaller stack is solved one
-# matrix at a time.  verify_weights reads it too: a chunk's distinct residuals
-# are stacked from here up, and one weight has at most 13 of them (README: the
-# stacked cyclic kernel, and its crossover)
+# matrix at a time.  Only _min_eigenvalues reads it: verify hands it every
+# stack, whatever its size (README: the stacked cyclic kernel, and its
+# crossover)
 CYCLIC_STACK_MIN = 32
 # Most matrix entries, k n^2, in one stacked solve; a larger stack is solved
 # in parts, and a sweep's chunk of residuals closes once it holds this many.

@@ -93,7 +93,7 @@ class UniformBox:
     M: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and 0.0 < self.m <= self.M):
+        if not 0.0 < self.m <= self.M < math.inf:
             raise DomainError(f"invalid uniform box ({self.m}, {self.M})")
 
     @property

@@ -20,6 +20,11 @@ def _require_positive(name: str, x: float):
         raise DomainError(f"{name} must be positive and finite, got {x}")
 
 
+def _require_finite(v: float):
+    if not math.isfinite(v):
+        raise DomainError(f"weight {v} must be finite")
+
+
 def _require_unit(v: float):
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"weight {v} outside [0, 1]")
@@ -29,6 +34,7 @@ def scalar_nabla(a: float, b: float, v: float) -> float:
     """Weighted arithmetic mean (1-v)a + vb."""
     _require_positive("a", a)
     _require_positive("b", b)
+    _require_finite(v)
     return (1.0 - v) * a + v * b
 
 
@@ -36,6 +42,7 @@ def scalar_sharp(a: float, b: float, v: float) -> float:
     """Weighted geometric mean a^(1-v) b^v."""
     _require_positive("a", a)
     _require_positive("b", b)
+    _require_finite(v)
     return a ** (1.0 - v) * b ** v
 
 
@@ -50,12 +57,14 @@ def scalar_harm(a: float, b: float, v: float) -> float:
 def f_v(x: float, v: float) -> float:
     """Ratio of arithmetic to geometric mean of (1, x): ((1-v)+vx) / x^v."""
     _require_positive("x", x)
+    _require_finite(v)
     return ((1.0 - v) + v * x) / x ** v
 
 
 def g_v(x: float, v: float) -> float:
     """Gap of arithmetic over geometric mean of (1, x): (1-v)+vx-x^v."""
     _require_positive("x", x)
+    _require_finite(v)
     return (1.0 - v) + v * x - x ** v
 
 

@@ -99,6 +99,13 @@ class TestCatalog:
         assert bounds["ext.lower"].applicable
         assert bounds["ext.upper"].constant == 0.0  # straddle peak of the gap at 1
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("s,t", [(0.5, 2.0), (1.5, 3.0)], ids=["straddle", "above"])
+    def test_a_non_finite_weight_is_a_domain_error(self, s, t, v):
+        # outside [0, 1] the extended rows apply, and their constants read the weight
+        with pytest.raises(DomainError, match="must be finite"):
+            catalog(SandwichInterval(s, t), v)
+
     def test_extended_upper_one_sided(self):
         bounds = by_name(catalog(SandwichInterval(1.5, 3.0), 2.0))
         assert bounds["ext.upper"].constant == pytest.approx(sc.g_v(1.5, 2.0))
@@ -556,14 +563,15 @@ class TestSharedInapplicableStatements:
 
 
 class TestLoewnerScale:
-    """``_loewner_check`` judges a residual at max(1, ||R||_F); an inf or NaN
-    norm is an overflow, named after the constant when it is inf."""
+    """``_checks`` judges a residual at max(1, ||R||_F), stacked or not; a
+    residual whose norm is inf or NaN is not solved, and ``_judge`` reports
+    it as an overflow, named after the row's constant when that is inf."""
 
     @staticmethod
-    def check(res, constant=2.0):
+    def check(res, stacked):
         with np.errstate(over="ignore", invalid="ignore"):  # as verify calls it
-            return certify._loewner_check(np.asarray(res, dtype=float), constant,
-                                          DEFAULT_LOEWNER_TOL)
+            return certify._checks({"r": np.asarray(res, dtype=float)}, DEFAULT_LOEWNER_TOL,
+                                   stacked)["r"]
 
     @pytest.mark.parametrize("res,scale", [
         (np.diag([0.5, 0.0]), 1.0),
@@ -572,9 +580,10 @@ class TestLoewnerScale:
         ([[1.0, 2.0], [2.0, 0.0]], 3.0),
     ], ids=["below-1", "at-1", "above-1", "off-diagonal"])
     def test_scale_is_one_or_the_norm(self, res, scale):
-        verdict, got = self.check(res)
-        assert type(got) is float and got == scale
-        assert verdict == loewner_geq_zero(np.asarray(res, dtype=float), DEFAULT_LOEWNER_TOL)
+        for stacked in (False, True):
+            verdict, got = self.check(res, stacked)
+            assert type(got) is float and got == scale
+            assert verdict == loewner_geq_zero(np.asarray(res, dtype=float), DEFAULT_LOEWNER_TOL)
 
     @pytest.mark.parametrize("res", [
         [[math.inf, 0.0], [0.0, 1.0]],
@@ -585,9 +594,21 @@ class TestLoewnerScale:
     @pytest.mark.parametrize("constant,message", [
         (2.0, "residual overflowed"), (math.inf, "constant overflowed"),
     ], ids=["finite-constant", "inf-constant"])
-    def test_a_non_finite_norm_is_an_overflow(self, res, constant, message):
-        with pytest.raises(NumericalError, match=f"^{message}$"):
-            self.check(res, constant)
+    def test_a_non_finite_norm_is_an_overflow(self, res, constant, message, monkeypatch):
+        solves = []
+        monkeypatch.setattr(certify, "loewner_geq_zero", lambda x, tol_rel: solves.append(x))
+        checks = [self.check(res, stacked) for stacked in (False, True)]
+        assert solves == [] and all(lv is None for lv, _ in checks)
+        row = certify.BoundStatement("row", certify.ADDITIVE, certify.LOWER,
+                                     certify.NABLA_VS_SHARP, constant)
+        with pytest.raises(NumericalError, match=f"^bound row: {message}$"):
+            certify._judge([(row, "r")], {"r": checks[0]}, None, None)
+        # a literature row is not checkable for the same reason
+        (result,) = certify._judge([(replace(row, literature=True), "r")], {"r": checks[1]},
+                                   None, None).results
+        assert result.verdict is None and not result.statement.applicable
+        assert result.statement.applicability_reason == (
+            f"not checkable in floating point: {message}")
 
 
 class TestCompareConstants:

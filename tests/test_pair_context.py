@@ -77,18 +77,35 @@ def kernel_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("regime", list(PAIRS))
-@pytest.mark.parametrize("n", [4, 12, 16], ids=["cyclic", "cyclic-stack", "round-robin"])
-def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, regime, kernel_solves):
+@pytest.mark.parametrize("n,v_range", [(4, ("0.25", "1.5", "2")), (4, V_RANGE), (12, V_RANGE),
+                                       (16, V_RANGE)],
+                         ids=["cyclic-2-weights", "cyclic", "cyclic-stack", "round-robin"])
+def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, v_range, regime, kernel_solves,
+                                               monkeypatch):
     a_path, b_path = _pair_files(tmp_path, n, regime)
+    stacks, real = [], certify.loewner_geq_zero
+
+    def spy(x, tol_rel):
+        stacks.append(np.shape(x))
+        return real(x, tol_rel)
+
+    monkeypatch.setattr(certify, "loewner_geq_zero", spy)
     out = tmp_path / "sweep.csv"
-    assert _sweep(a_path, b_path, V_RANGE, out) == EXIT_PASS
+    assert _sweep(a_path, b_path, v_range, out) == EXIT_PASS
     header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
-    weights = list(np.linspace(-0.5, 1.5, 9))
-    assert 0.0 in weights and 1.0 in weights and len(rows) == len(weights)
-    # the grid's Loewner checks ran as one stack, on the kernel its dimension picks
+    weights = list(np.linspace(float(v_range[0]), float(v_range[1]), int(v_range[2])))
+    assert len(rows) == len(weights)
+    assert v_range != V_RANGE or (0.0 in weights and 1.0 in weights)
+    # the grid's Loewner checks ran as one stack, on the kernels eigen picks
+    # for its dimension and size: fewer than CYCLIC_STACK_MIN one at a time
+    (shape,) = stacks
+    assert len(shape) == 3 and (shape[0] < CYCLIC_STACK_MIN) == (len(weights) == 2)
     kernels = Counter(kernel for kernel, _, _ in kernel_solves)
     assert (n >= ROUND_ROBIN_MIN_DIM) == (n == 16)
-    assert kernels["round-robin" if n == 16 else "cyclic-stack"] >= CYCLIC_STACK_MIN
+    if len(weights) == 2:
+        assert kernels["cyclic-stack"] == kernels["round-robin"] == 0
+    else:
+        assert kernels["round-robin" if n == 16 else "cyclic-stack"] >= CYCLIC_STACK_MIN
     a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
     for v, row in zip(weights, rows):
         alone = cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
@@ -143,17 +160,17 @@ def test_a_long_grid_is_checked_in_chunks_within_the_stack_bound(tmp_path, monke
     n = 12
     a_path, b_path = _pair_files(tmp_path, n, "straddle")
     chunks, entries = [], []
-    real_checks, real_stack = certify._stacked_checks, eigen._cyclic_stack_kernel
+    real_checks, real_stack = certify._checks, eigen._cyclic_stack_kernel
 
-    def checks(residuals, tol_rel):
+    def checks(residuals, tol_rel, stacked):
         chunks.append(len(residuals))
-        return real_checks(residuals, tol_rel)
+        return real_checks(residuals, tol_rel, stacked)
 
     def cyclic_stack(a, *args):
         entries.append(a.size)
         return real_stack(a, *args)
 
-    monkeypatch.setattr(certify, "_stacked_checks", checks)
+    monkeypatch.setattr(certify, "_checks", checks)
     monkeypatch.setattr(eigen, "_cyclic_stack_kernel", cyclic_stack)
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, ("0", "1", "160"), out) == EXIT_PASS

@@ -146,7 +146,7 @@ class TestBoxes:
         assert len(catalog(SandwichInterval(0.5, 2.0), 0.5, spectral_box=box)) == len(TABLE)
 
     @pytest.mark.parametrize("m,M", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
-                                     (math.inf, math.inf)])
+                                     (math.inf, math.inf), (1.0, math.inf), (1.0, math.nan)])
     def test_uniform_box_validation(self, m, M):
         with pytest.raises(DomainError, match="invalid uniform box"):
             UniformBox(m, M)

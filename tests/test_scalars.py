@@ -212,6 +212,18 @@ def test_rejects_non_positive_argument(fn, x):
         fn(x)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda v: sc.scalar_nabla(1.0, 4.0, v),
+    lambda v: sc.scalar_sharp(1.0, 4.0, v),
+    lambda v: sc.f_v(4.0, v),
+    lambda v: sc.g_v(4.0, v),
+], ids=["scalar_nabla", "scalar_sharp", "f_v", "g_v"])
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_weight(fn, v):
+    with pytest.raises(DomainError, match="must be finite"):
+        fn(v)
+
+
 # Accuracy against an mpmath reference, on 600 log-spaced points over the float
 # range, 100 on either side of 1 at distances 1e-15 .. 1e-1, and 1 itself.  At
 # t = 1e300 the textbook Specht ratio has t^(1/(t-1)) - 1 ~ 1e-297, so the

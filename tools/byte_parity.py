@@ -10,8 +10,9 @@ Runs ``meancert.cli.main`` in this process, taking the package from
   ``sweep`` over [-1, 2] and ``random --count 3``, for n = 1-17 and 32 and
   a ``gen_instance`` pair in each of the four regimes (n = 15, 16, 17 and 32
   take verify's stacked route, at both parities);
-- eleven edge runs: a not-checkable literature row, a numerical failure, a
-  dimension mismatch, subnormal and large entries, a long sweep and
+- twelve edge runs: a not-checkable literature row, a numerical failure, a
+  dimension mismatch, subnormal and large entries, a long sweep, a
+  3-weight sweep at n = 4 whose one stack holds fewer than 32 residuals, and
   ``compare`` as JSON and CSV.
 
 Each output line is ``<sha256 of exit code, stdout and stderr>  <case>``,
@@ -87,6 +88,10 @@ def cases() -> dict[str, list[str]]:
     a, b = certify.gen_instance(5, 0.3, 4.0, 7)
     out["edge/sweep-31"] = [
         "sweep", *_pair("sweep31", a.mat, b.mat), "--v-range", "-0.5", "1.5", "31"]
+    # fewer distinct residuals than eigen.CYCLIC_STACK_MIN in one sweep's stack
+    a, b = certify.gen_instance(4, 1.5, 6.0, SEED)
+    out["edge/sweep-3-n4"] = [
+        "sweep", *_pair("sweep3", a.mat, b.mat), "--v-range", "0", "1", "3"]
     out["edge/compare-json"] = [
         "compare", "--h-range", "1", "1e300", "40", "--v-range", "0.05", "0.95", "7"]
     out["edge/compare-csv"] = [
