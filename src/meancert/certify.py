@@ -31,11 +31,13 @@ from .eigen import (
     STACK_MAX_ENTRIES,
     SymPDMatrix,
     _frobenius_norm,
+    _loewner_verdict,
+    _spectrum_ends,
     loewner_geq_zero,
     mat_fpow,
 )
 from .errors import DomainError, InputError, MeanCertError, NumericalError
-from .means import op_harm, op_nabla, op_sharp
+from .means import mean_ends, op_harm, op_nabla, op_sharp, require_pd_mean
 from .sandwich import (
     ABOVE,
     STRADDLE,
@@ -303,36 +305,44 @@ def _residual(bound: BoundStatement, nabla, sharp, harm, amat) -> np.ndarray:
     return gap - c * ref if bound.side == LOWER else c * ref - gap
 
 
-def _checks(residuals: dict, tol_rel: float, stacked: bool) -> dict:
-    """Each residual's check, keyed as given: its ``LoewnerVerdict``, or the
-    NumericalError its solve raised, and the scale max(1, ||R||_F) it is
-    judged at.  The residuals of finite norm are moved out of ``residuals``,
-    so each is held once, and checked as one stack when ``stacked``, else one
-    at a time.  A residual whose norm is not finite is not solved: its check
-    is None and its scale that norm, and each row that reaches it reports
-    the overflow (max(1.0, nan) would be 1.0, so the norm is tested first).
+def _checks(residuals: dict, means: dict, tol_rel: float, stacked: bool) -> dict:
+    """Each residual's and mean's check, keyed as given, from one pass: a
+    residual's ``LoewnerVerdict``, or the NumericalError its solve raised,
+    and its scale max(1, ||R||_F); a mean's two ends, or the error in their
+    place.  The residuals of finite norm are moved out of their dict, so each
+    is held once, and solved with the means as one stack when ``stacked``,
+    else one at a time.  A residual whose norm is not finite is not solved:
+    its check is None and its scale that norm, and each row that reaches it
+    reports the overflow (max(1.0, nan) would be 1.0, so the norm is tested
+    first).
     """
     norms = {key: _frobenius_norm(res) for key, res in residuals.items()}
     checked = {key: (None, norm) for key, norm in norms.items() if not math.isfinite(norm)}
     keys = [key for key in norms if key not in checked]
     mats = [residuals.pop(key) for key in keys]
     if not stacked:
-        verdicts = []
+        ends, verdicts = [mean_ends(mean) for mean in means.values()], []
         for res in mats:
             try:
                 verdicts.append(loewner_geq_zero(res, tol_rel))
             except NumericalError as exc:
                 verdicts.append(exc)
     else:
-        verdicts = loewner_geq_zero(np.stack(mats), tol_rel) if mats else ()
+        ends = _spectrum_ends(np.stack(mats + list(means.values()))) if mats or means else []
+        verdicts = [e if isinstance(e, NumericalError)
+                    else _loewner_verdict(e[0], max(1.0, norms[key]), tol_rel)
+                    for key, e in zip(keys, ends)]
+        ends = ends[len(keys):]
     checked.update((key, (lv, max(1.0, norms[key]))) for key, lv in zip(keys, verdicts))
+    checked.update(zip(means, ends))
     return checked
 
 
 def _residual_rows(pair: PairContext, v: float, bounds: list[BoundStatement],
-                   residuals: dict, place: int) -> list:
+                   residuals: dict, means: dict, place: int) -> list:
     """Each bound with the key of its residual at weight v, None when it does
-    not apply; each new residual is added to ``residuals`` under its key.
+    not apply; each new residual is added to ``residuals`` under its key,
+    and the means, unchecked, to ``means`` under ``(place, name)``.
 
     A key is ``place``, the weight's place in its chunk, and the residual's
     bytes after adding 0.0, which turns every -0.0 entry into 0.0: so rows
@@ -340,9 +350,10 @@ def _residual_rows(pair: PairContext, v: float, bounds: list[BoundStatement],
     share the first one's residual, and no two weights share one.
     """
     nabla = op_nabla(pair.a, pair.b, v)
-    sharp = op_sharp(pair, v)
-    harm = (op_harm(pair, v)
-            if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds) else None)
+    sharp = means[place, "geometric"] = op_sharp(pair, v, checked=False)
+    harm = None
+    if any(x.applicable and x.relation == HARM_VS_SHARP for x in bounds):
+        harm = means[place, "harmonic"] = op_harm(pair, v, checked=False)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
         for bound in bounds:
@@ -385,38 +396,41 @@ def verify_weights(pair: PairContext, weights, tol_rel: float = DEFAULT_LOEWNER_
     reports in order.
 
     The weights are certified in chunks.  A chunk builds every weight's
-    residuals, checks its distinct residuals in one pass, and then judges
-    the weights one by one.  It closes once its residuals hold
-    ``STACK_MAX_ENTRIES`` entries, so memory does not grow with the number
-    of weights.  The checks are one stacked ``loewner_geq_zero``, and
-    ``eigen`` alone picks the kernels that solve it; only a chunk of one
-    weight below ``ROUND_ROBIN_MIN_DIM`` is checked one residual at a time.
-    A weight whose means or whose entry of ``weights`` raise a MeanCertError
-    ends the chunk: the weights before it are judged first, then that error
-    is raised.  So the first error raised is the one a run of one weight at
-    a time would raise.
+    means, unchecked, and residuals, checks them in one pass, and then
+    judges the weights one by one, each weight's means (geometric, then
+    harmonic) before its rows.  It closes once it holds ``STACK_MAX_ENTRIES``
+    matrix entries, so memory does not grow with the number of weights.  The
+    pass is one stacked solve, whose kernels ``eigen`` alone picks; only a
+    chunk of one weight below ``ROUND_ROBIN_MIN_DIM`` is checked one matrix
+    at a time.  A weight whose means or entry of ``weights`` raise a
+    MeanCertError while built ends the chunk: the weights before it are
+    judged first, then that error is raised.  So the first error raised is
+    the one a run of one weight at a time would raise.
     """
     n, reports, weights, done = pair.a.dim, [], iter(weights), False
     while not done:
-        pending, residuals, error = [], {}, None
+        pending, residuals, means, error = [], {}, {}, None
         try:
             for v, bounds, instance, comparison in weights:
-                pending.append((_residual_rows(pair, v, bounds, residuals, len(pending)),
-                                instance, comparison))
-                if len(residuals) * n * n >= STACK_MAX_ENTRIES:
+                rows = _residual_rows(pair, v, bounds, residuals, means, len(pending))
+                pending.append((v, rows, instance, comparison))
+                if (len(residuals) + len(means)) * n * n >= STACK_MAX_ENTRIES:
                     break
             else:
                 done = True
         except MeanCertError as exc:
             error = exc
-        # one weight below ROUND_ROBIN_MIN_DIM is checked one residual at a
-        # time only for perfbench: its dim-6 pin counts 7 loewner_geq_zero
-        # calls per report, and its lying-verifier control patches the call
-        # on one matrix
+        # one weight below ROUND_ROBIN_MIN_DIM is checked one matrix at a time only
+        # for perfbench, whose dim-6 pin counts 11 eig_sym and 7 loewner_geq_zero
+        # calls and whose lying-verifier control patches the one-matrix call
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
-            checked = _checks(residuals, tol_rel, n >= ROUND_ROBIN_MIN_DIM or len(pending) > 1)
-        reports += [_judge(rows, checked, instance, comparison)
-                    for rows, instance, comparison in pending]
+            checked = _checks(residuals, means, tol_rel,
+                              n >= ROUND_ROBIN_MIN_DIM or len(pending) > 1)
+        for place, (v, rows, instance, comparison) in enumerate(pending):
+            for name in ("geometric", "harmonic"):
+                if (place, name) in checked:
+                    require_pd_mean(checked[place, name], name, v)
+            reports.append(_judge(rows, checked, instance, comparison))
         if error is not None:
             raise error
     return reports
@@ -437,10 +451,8 @@ def verify(
     divided by max(1, ||R||_F), the scale the check compares it against.
     Rows whose residuals are equal, up to the signs of zero entries, share
     one check and so one verdict.  This is the one-weight case of
-    ``verify_weights``: every distinct residual is checked before any row
-    is judged, as one stack from ``ROUND_ROBIN_MIN_DIM`` up and one at a
-    time below it.  The rows are then read in table order, so a row that
-    raises raises in table order.
+    ``verify_weights``: the means are judged first, then the rows in table
+    order, so a row that raises raises in table order.
     """
     (report,) = verify_weights(pair, ((v, bounds, instance, comparison),), tol_rel)
     return report

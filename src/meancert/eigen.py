@@ -15,11 +15,11 @@ writing X, and returns the diagonal, the basis V (None for eigenvalues only)
 and the sweep count; the round-robin kernel returns one of each per matrix.
 The cyclic kernel also has a stacked, eigenvalues-only form, which runs its
 float operations in its order across a stack through numpy, so each matrix
-keeps its bits.  A stack of Loewner checks is solved by one loop over parts
-at every dimension: below ``ROUND_ROBIN_MIN_DIM`` a part of fewer than
-``CYCLIC_STACK_MIN`` matrices is solved one matrix at a time on the cyclic
-kernel and a larger one on its stacked form; from there up a part is a
-stack on the round-robin kernel.
+keeps its bits.  A stack of eigenvalues-only solves (a sweep's Loewner and
+PD checks) is solved by one loop over parts: below ``ROUND_ROBIN_MIN_DIM``
+a part of fewer than ``CYCLIC_STACK_MIN`` matrices one matrix at a time on
+the cyclic kernel and a larger one on its stacked form; from there up a
+part is a stack on the round-robin kernel.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # Smallest dimension the round-robin kernel takes; below it the cyclic
 # kernel runs (README: the crossover, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
-# Fewest matrices below ROUND_ROBIN_MIN_DIM that a stack of Loewner checks
-# solves at once on the stacked cyclic kernel; a smaller stack is solved one
-# matrix at a time.  Only _min_eigenvalues reads it: verify hands it every
-# stack, whatever its size (README: the stacked cyclic kernel, and its
-# crossover)
+# Fewest matrices below ROUND_ROBIN_MIN_DIM that a stacked solve runs at
+# once on the stacked cyclic kernel; a smaller stack is solved one matrix at
+# a time.  Only _spectrum_ends reads it, whatever stack certify hands it
+# (README: the stacked cyclic kernel, and its crossover)
 CYCLIC_STACK_MIN = 32
 # Most matrix entries, k n^2, in one stacked solve; a larger stack is solved
-# in parts, and a sweep's chunk of residuals closes once it holds this many.
+# in parts, and a sweep's chunk of checks closes once it holds this many.
 # The kernels' buffers grow with k n^2, and from about n = 128 up a round's
 # products cost far more than its numpy calls, which is all a stack saves
 # (README: the round-robin kernel)
@@ -648,25 +647,26 @@ class LoewnerVerdict:
     min_eig: float
 
 
-def _min_eigenvalues(xs: np.ndarray) -> list:
-    """The smallest eigenvalue of each matrix of a stack shaped (k, n, n), each
-    with the bits of ``eig_sym(x, vectors=False).eigenvalues[0]``, or in its
-    place the NumericalError that its solve raised, which fails no other.
+def _spectrum_ends(xs: np.ndarray) -> list:
+    """The two ends of ``eig_sym(x, vectors=False).eigenvalues``, bit for bit,
+    for each matrix x of a stack shaped (k, n, n), or in their place the
+    error its solve raised (an InputError for an entry that is not finite,
+    else a NumericalError), which fails no other.
 
     Each norm is computed once, and the matrices whose norm is finite are
     solved in parts of at most ``STACK_MAX_ENTRIES`` entries, each part's
-    smallest eigenvalues read off its diagonals.  From
-    ``ROUND_ROBIN_MIN_DIM`` up a part is solved by the round-robin kernel at
-    once.  Below it a part of at least ``CYCLIC_STACK_MIN`` matrices is
-    solved by the stacked cyclic kernel, and a smaller one matrix by matrix
-    by the cyclic kernel, which is faster alone; both give the same bits.
+    ends read off its diagonals.  From ``ROUND_ROBIN_MIN_DIM`` up a part is
+    solved by the round-robin kernel at once.  Below it a part of at least
+    ``CYCLIC_STACK_MIN`` matrices is solved by the stacked cyclic kernel,
+    and a smaller one matrix by matrix by the cyclic kernel, which is faster
+    alone; both give the same bits.
     """
     n = _as_square(xs[0]).shape[0] if len(xs) else 0
     out, norms = [None] * len(xs), []
     for i, x in enumerate(xs):
         try:
             norms.append(_checked_norm(x))
-        except NumericalError as exc:
+        except (InputError, NumericalError) as exc:
             out[i] = exc
     solved = [i for i, value in enumerate(out) if value is None]
     step = max(1, STACK_MAX_ENTRIES // max(1, n * n))
@@ -684,25 +684,19 @@ def _min_eigenvalues(xs: np.ndarray) -> list:
                 _jacobi_kernel(xs[i], False, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
                 for i, norm in zip(at, part_norms)))
         for i, diagonal, used in zip(at, diagonals, sweeps):
-            # min keeps the first of equal values, as the stable sort of eig_sym does
-            out[i] = _unconverged() if used < 0 else min(diagonal)
+            # as eig_sym's stable sort: min keeps the first of equal values, max(reversed) the last
+            out[i] = _unconverged() if used < 0 else (min(diagonal), max(reversed(diagonal)))
     return out
 
 
-def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL):
-    """Check X >= 0 in the Loewner order, up to a relative slack.
+def _loewner_verdict(min_eig: float, scale: float, tol_rel: float) -> LoewnerVerdict:
+    """The Loewner rule: X >= 0 iff min_eig >= -tol_rel * scale, scale = max(1, ||X||_F)."""
+    return LoewnerVerdict(min_eig >= -tol_rel * scale, min_eig)
 
-    Holds iff the smallest eigenvalue is at least
-    ``-tol_rel * max(1, ||X||_F)``; the eigenvalue is reported either way.
-    A stack of matrices shaped (k, n, n) gives a tuple of k verdicts, each
-    that of its matrix alone; a matrix whose solve raised a NumericalError
-    has the error in its place, and the others are checked all the same.
-    """
+
+def loewner_geq_zero(x, tol_rel: float = DEFAULT_LOEWNER_TOL) -> LoewnerVerdict:
+    """Check X >= 0 in the Loewner order, up to a relative slack: the rule of
+    ``_loewner_verdict`` on X's smallest eigenvalue, reported either way."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 3:
-        return tuple(
-            e if isinstance(e, NumericalError)
-            else LoewnerVerdict(e >= -tol_rel * max(1.0, _frobenius_norm(m)), e)
-            for m, e in zip(arr, _min_eigenvalues(arr)))
     min_eig = float(eig_sym(arr, vectors=False).eigenvalues[0])
-    return LoewnerVerdict(min_eig >= -tol_rel * max(1.0, _frobenius_norm(arr)), min_eig)
+    return _loewner_verdict(min_eig, max(1.0, _frobenius_norm(arr)), tol_rel)

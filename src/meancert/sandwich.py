@@ -87,7 +87,7 @@ class SpectralBox:
 
 @dataclass(frozen=True)
 class UniformBox:
-    """One box mI <= A, B <= MI containing both matrices."""
+    """One box mI <= A, B <= MI containing both matrices, with a finite ratio h = M / m."""
 
     m: float
     M: float
@@ -95,6 +95,8 @@ class UniformBox:
     def __post_init__(self):
         if not 0.0 < self.m <= self.M < math.inf:
             raise DomainError(f"invalid uniform box ({self.m}, {self.M})")
+        if not self.M / self.m < math.inf:  # far-apart ends overflow the ratio
+            raise DomainError(f"uniform box needs a finite ratio M / m, got ({self.m}, {self.M})")
 
     @property
     def h(self) -> float:
@@ -134,14 +136,13 @@ class PairContext:
     spectrum with its eigenvectors, A^(1/2) and the uniform box, each
     computed by the same operations as for a single weight, so every
     weight's report has the same bits as a one-weight run, whether a sweep
-    solves a weight's Loewner checks alone or stacked with other weights'
-    (``certify.verify_weights``).  C is formed
-    once and both solves of it read it.  The sandwich keeps its own
-    eigenvalues-only solve (perfbench pins a one-weight report at 11
-    eigensolves), so a pair solves its relative spectrum twice in all.
-    Nothing is checked or solved when the context is made: the first use
-    raises whatever its part raises, and forming C checks the dimensions
-    first.
+    solves a weight's PD and Loewner checks alone or stacked with other
+    weights' (``certify.verify_weights``).  C is formed once and both
+    solves of it read it.  The sandwich keeps its own eigenvalues-only solve
+    (perfbench pins a one-weight report at 11 eigensolves), so a pair solves
+    its relative spectrum twice in all.  Nothing is checked or solved when
+    the context is made: the first use raises whatever its part raises, and
+    forming C checks the dimensions first.
     """
 
     def __init__(self, a: SymPDMatrix, b: SymPDMatrix):

@@ -378,9 +378,9 @@ class TestHarmonicMeanBuild:
         calls = []
         real = certify.op_harm
 
-        def counting(pair, v):
+        def counting(pair, v, **kwargs):
             calls.append(v)
-            return real(pair, v)
+            return real(pair, v, **kwargs)
 
         monkeypatch.setattr(certify, "op_harm", counting)
         return calls
@@ -431,15 +431,21 @@ class TestStackedRoute:
 
     @pytest.fixture
     def stacks(self, monkeypatch):
-        """The number of matrices in each stacked Loewner call, 0 for one matrix."""
+        """The number of matrices in each stacked check pass, and 0 for each
+        Loewner call on one matrix."""
         stacks = []
-        real = certify.loewner_geq_zero
+        real_loewner, real_ends = certify.loewner_geq_zero, certify._spectrum_ends
 
-        def spy(x, tol_rel):
+        def loewner(x, tol_rel):
             stacks.append(len(x) if np.ndim(x) == 3 else 0)
-            return real(x, tol_rel)
+            return real_loewner(x, tol_rel)
 
-        monkeypatch.setattr(certify, "loewner_geq_zero", spy)
+        def ends(xs):
+            stacks.append(len(xs))
+            return real_ends(xs)
+
+        monkeypatch.setattr(certify, "loewner_geq_zero", loewner)
+        monkeypatch.setattr(certify, "_spectrum_ends", ends)
         return stacks
 
     @pytest.mark.parametrize("regime", list(REGIME_PAIRS))
@@ -468,13 +474,34 @@ class TestStackedRoute:
                                                                  monkeypatch):
         pair = PairContext(*gen_instance(16, s0, t0, 3))
         bounds = catalog(pair.sandwich, v, uniform_box=pair.uniform_box)
-        # the means are built before sweeps are forbidden, so only the checks fail
-        sharp, harm = op_sharp(pair, v), op_harm(pair, v) if 0.0 <= v <= 1.0 else None
-        monkeypatch.setattr(certify, "op_sharp", lambda pair, v: sharp)
-        monkeypatch.setattr(certify, "op_harm", lambda pair, v: harm)
+        # the means are scaled identities, whose checks converge in 0 sweeps, so
+        # only the residuals' checks fail: nabla keeps each one off-diagonal
+        monkeypatch.setattr(certify, "op_sharp", lambda pair, v, checked: 2.0 * np.eye(16))
+        monkeypatch.setattr(certify, "op_harm", lambda pair, v, checked: np.eye(16))
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
         first = next(b.name for b in bounds if b.applicable)
         message = f"^bound {first}: Jacobi eigensolver did not converge within 0 sweeps$"
+        with pytest.raises(NumericalError, match=message):
+            verify(pair, v, bounds)
+        per_residual_route(monkeypatch)
+        with pytest.raises(NumericalError, match=message):
+            verify(pair, v, bounds)
+
+    @pytest.mark.parametrize("name", ["geometric", "harmonic"])
+    @pytest.mark.parametrize("s0,t0,v", [(1.5, 6.0, 0.5), (0.5, 3.0, 0.3)])
+    def test_an_unconverged_mean_check_names_the_mean_and_weight(self, s0, t0, v, name,
+                                                                 monkeypatch):
+        pair = PairContext(*gen_instance(16, s0, t0, 3))
+        bounds = catalog(pair.sandwich, v, uniform_box=pair.uniform_box)
+        # the named mean is the real one, built before sweeps are forbidden; the
+        # other is a scaled identity, whose check converges in 0 sweeps
+        sharp = op_sharp(pair, v) if name == "geometric" else 2.0 * np.eye(16)
+        harm = op_harm(pair, v) if name == "harmonic" else np.eye(16)
+        monkeypatch.setattr(certify, "op_sharp", lambda pair, v, checked: sharp)
+        monkeypatch.setattr(certify, "op_harm", lambda pair, v, checked: harm)
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
+        message = (f"^{name} mean at weight {v}: "
+                   "Jacobi eigensolver did not converge within 0 sweeps$")
         with pytest.raises(NumericalError, match=message):
             verify(pair, v, bounds)
         per_residual_route(monkeypatch)
@@ -570,7 +597,7 @@ class TestLoewnerScale:
     @staticmethod
     def check(res, stacked):
         with np.errstate(over="ignore", invalid="ignore"):  # as verify calls it
-            return certify._checks({"r": np.asarray(res, dtype=float)}, DEFAULT_LOEWNER_TOL,
+            return certify._checks({"r": np.asarray(res, dtype=float)}, {}, DEFAULT_LOEWNER_TOL,
                                    stacked)["r"]
 
     @pytest.mark.parametrize("res,scale", [
@@ -597,6 +624,7 @@ class TestLoewnerScale:
     def test_a_non_finite_norm_is_an_overflow(self, res, constant, message, monkeypatch):
         solves = []
         monkeypatch.setattr(certify, "loewner_geq_zero", lambda x, tol_rel: solves.append(x))
+        monkeypatch.setattr(certify, "_spectrum_ends", solves.append)
         checks = [self.check(res, stacked) for stacked in (False, True)]
         assert solves == [] and all(lv is None for lv, _ in checks)
         row = certify.BoundStatement("row", certify.ADDITIVE, certify.LOWER,

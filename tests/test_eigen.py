@@ -398,24 +398,33 @@ def with_stacked_cyclic(dims, stacked_dims):
             *(pytest.param(n, 1, id=f"stacked-cyclic-{n}") for n in stacked_dims)]
 
 
-class TestStackedLoewner:
-    """A stack given to ``loewner_geq_zero`` gives each matrix's own verdict."""
+def solo_ends(x):
+    """The two ends of ``eig_sym(x, vectors=False)``'s spectrum, as bytes."""
+    lam = eig_sym(x, vectors=False).eigenvalues
+    return lam[0].tobytes(), lam[-1].tobytes()
+
+
+def ends_bytes(ends):
+    return tuple(np.float64(e).tobytes() for e in ends)
+
+
+class TestStackedEnds:
+    """``_spectrum_ends`` gives each matrix of a stack the two ends of its own
+    eigenvalues-only solve, or the error that solve raised."""
 
     @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([1, 2, 8, 14, 15, 16, 17, 32],
                                                                 [1, 2, 8, 14]))
-    def test_each_verdict_is_the_solo_verdict(self, n, crossover, monkeypatch):
+    def test_each_pair_of_ends_is_the_solo_solves(self, n, crossover, monkeypatch):
         sizes = cyclic_stack_sizes(monkeypatch, crossover)
         xs = stack_cases(n)
         xs[-1] = xs[-1] + 3.0 * np.eye(n)  # positive definite: a verdict that holds
-        stacked = loewner_geq_zero(xs, 1e-9)
-        assert isinstance(stacked, tuple) and len(stacked) == len(xs)
+        stacked = eigen._spectrum_ends(xs)
+        assert isinstance(stacked, list) and len(stacked) == len(xs)
         # 7 matrices are below the measured crossover, so only a forced one stacks them
         assert sizes == ([len(xs)] if crossover == 1 else [])
         for x, got in zip(xs, stacked):
-            solo = loewner_geq_zero(x, 1e-9)
-            assert got.holds == solo.holds
-            assert np.float64(got.min_eig).tobytes() == np.float64(solo.min_eig).tobytes()
-        assert {v.holds for v in stacked} == {True, False}
+            assert ends_bytes(got) == solo_ends(x)
+        assert {loewner_geq_zero(x, 1e-9).holds for x in xs} == {True, False}
 
     @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([3, 14, 16], [3, 14]))
     def test_a_failed_solve_is_reported_in_its_place(self, n, crossover, monkeypatch):
@@ -424,24 +433,25 @@ class TestStackedLoewner:
         xs = np.array([np.eye(n), np.full((n, n), 1e200), random_symmetric(rng, n),
                        np.diag(np.arange(1.0, n + 1.0))])
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
-        got = loewner_geq_zero(xs)
+        got = eigen._spectrum_ends(xs)
         # the matrix whose norm overflows is never handed to a kernel
         assert sizes == ([len(xs) - 1] if crossover == 1 else [])
         assert isinstance(got[1], NumericalError) and str(got[1]) == \
             "matrix Frobenius norm overflowed"
         assert isinstance(got[2], NumericalError) and str(got[2]) == \
             "Jacobi eigensolver did not converge within 0 sweeps"
-        assert got[0] == loewner_geq_zero(xs[0]) and got[3] == loewner_geq_zero(xs[3])
-        (alone,) = loewner_geq_zero(xs[1:2])  # nothing left to solve
+        assert ends_bytes(got[0]) == solo_ends(xs[0])
+        assert ends_bytes(got[3]) == solo_ends(xs[3])
+        (alone,) = eigen._spectrum_ends(xs[1:2])  # nothing left to solve
         assert str(alone) == "matrix Frobenius norm overflowed"
 
     @pytest.mark.parametrize("failed", [None, 2], ids=["all-solved", "one-overflows"])
-    def test_a_stack_solved_in_parts_gives_the_same_verdicts(self, failed, monkeypatch):
+    def test_a_stack_solved_in_parts_gives_the_same_ends(self, failed, monkeypatch):
         n = 16
         xs = stack_cases(n)
         if failed is not None:
             xs[failed] = np.full((n, n), 1e200)
-        whole = loewner_geq_zero(xs)
+        whole = eigen._spectrum_ends(xs)
         solved = []
         real = eigen._round_robin_kernel
 
@@ -451,18 +461,20 @@ class TestStackedLoewner:
 
         monkeypatch.setattr(eigen, "_round_robin_kernel", spy)
         monkeypatch.setattr(eigen, "STACK_MAX_ENTRIES", 3 * n * n)
-        parts = loewner_geq_zero(xs)
+        parts = eigen._spectrum_ends(xs)
         assert solved == ([3, 3, 1] if failed is None else [3, 3])
-        assert [str(v) if isinstance(v, NumericalError) else v for v in parts] == \
-            [str(v) if isinstance(v, NumericalError) else v for v in whole]
-        assert all(np.float64(p.min_eig).tobytes() == np.float64(w.min_eig).tobytes()
-                   for p, w in zip(parts, whole) if not isinstance(p, NumericalError))
+        assert [str(e) if isinstance(e, NumericalError) else ends_bytes(e) for e in parts] == \
+            [str(e) if isinstance(e, NumericalError) else ends_bytes(e) for e in whole]
 
-    def test_non_finite_entries_are_an_input_error(self):
-        xs = np.zeros((2, 16, 16))
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_non_finite_entries_are_an_input_error_in_place(self, n):
+        xs = np.zeros((3, n, n))
         xs[1, 0, 0] = math.nan
-        with pytest.raises(InputError, match="finite"):
-            loewner_geq_zero(xs)
+        xs[2, 0, 0] = math.inf
+        got = eigen._spectrum_ends(xs)
+        assert got[0] == (0.0, 0.0)
+        for error in got[1:]:
+            assert isinstance(error, InputError) and str(error) == "matrix entries must be finite"
 
 
 def cyclic_stack_cases(n):
@@ -640,7 +652,7 @@ def test_no_solve_writes_its_input(n):
                                    [frobenius(x)])
         loewner_geq_zero(x)
     slices = stack[::2, :, ::2]
-    loewner_geq_zero(slices)
+    eigen._spectrum_ends(slices)
     eigen._cyclic_stack_kernel(slices, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
                                [frobenius(x) for x in slices])
     for vectors in (True, False):

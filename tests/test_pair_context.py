@@ -83,21 +83,22 @@ def kernel_solves(monkeypatch):
 def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, v_range, regime, kernel_solves,
                                                monkeypatch):
     a_path, b_path = _pair_files(tmp_path, n, regime)
-    stacks, real = [], certify.loewner_geq_zero
+    stacks, real = [], certify._spectrum_ends
 
-    def spy(x, tol_rel):
-        stacks.append(np.shape(x))
-        return real(x, tol_rel)
+    def spy(xs):
+        stacks.append(np.shape(xs))
+        return real(xs)
 
-    monkeypatch.setattr(certify, "loewner_geq_zero", spy)
+    monkeypatch.setattr(certify, "_spectrum_ends", spy)
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, v_range, out) == EXIT_PASS
     header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)
     weights = list(np.linspace(float(v_range[0]), float(v_range[1]), int(v_range[2])))
     assert len(rows) == len(weights)
     assert v_range != V_RANGE or (0.0 in weights and 1.0 in weights)
-    # the grid's Loewner checks ran as one stack, on the kernels eigen picks
-    # for its dimension and size: fewer than CYCLIC_STACK_MIN one at a time
+    # the grid's checks, of its means and residuals, ran as one stack, on the
+    # kernels eigen picks for its dimension and size: fewer than
+    # CYCLIC_STACK_MIN one at a time
     (shape,) = stacks
     assert len(shape) == 3 and (shape[0] < CYCLIC_STACK_MIN) == (len(weights) == 2)
     kernels = Counter(kernel for kernel, _, _ in kernel_solves)
@@ -128,6 +129,35 @@ def test_sweep_through_a_failing_weight_exits_as_that_check(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, ("0", "1000", "5"), out) == EXIT_NUMERICAL
     assert capsys.readouterr().err == first_failure
+    assert not out.exists()
+
+
+_NOT_PD_AT_18 = ("numerical failure: geometric mean at weight 18.0: matrix is not positive "
+                 "definite: smallest eigenvalue 2.444583e-13\n")
+
+
+@pytest.mark.parametrize("pair,v_range,err", [
+    # every weight of the grid is one chunk: weight 18 is judged before weights
+    # 19 and 20, whose means fail too
+    ("below", ("12", "20", "9"), _NOT_PD_AT_18),
+    # weights 509 and 1000 underflow while their means are built, which ends the
+    # chunk; weight 18 is judged first
+    ("below", ("18", "1000", "3"), _NOT_PD_AT_18),
+    # weight 200's mean overflows its norm and weight 300's has entries that are
+    # not finite; both errors stay in their places
+    ("overflow", ("0", "300", "4"),
+     "numerical failure: geometric mean at weight 200.0: matrix Frobenius norm overflowed\n"),
+], ids=["not-pd", "not-pd-then-underflow", "overflow-then-not-finite"])
+def test_a_sweep_names_the_first_failing_mean(tmp_path, capsys, pair, v_range, err):
+    if pair == "below":  # B below A: lambda^v shrinks as v grows
+        a, b = (m.mat for m in certify.gen_instance(2, 0.2, 0.7, 102))
+    else:
+        a, b = 1e20 * np.eye(2), 1e21 * np.eye(2)
+    a_path = write_matrix(tmp_path / "a.json", a)
+    b_path = write_matrix(tmp_path / "b.json", b)
+    out = tmp_path / "sweep.csv"
+    assert _sweep(a_path, b_path, v_range, out) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 
@@ -162,9 +192,9 @@ def test_a_long_grid_is_checked_in_chunks_within_the_stack_bound(tmp_path, monke
     chunks, entries = [], []
     real_checks, real_stack = certify._checks, eigen._cyclic_stack_kernel
 
-    def checks(residuals, tol_rel, stacked):
-        chunks.append(len(residuals))
-        return real_checks(residuals, tol_rel, stacked)
+    def checks(residuals, means, tol_rel, stacked):
+        chunks.append(len(residuals) + len(means))
+        return real_checks(residuals, means, tol_rel, stacked)
 
     def cyclic_stack(a, *args):
         entries.append(a.size)
@@ -174,8 +204,8 @@ def test_a_long_grid_is_checked_in_chunks_within_the_stack_bound(tmp_path, monke
     monkeypatch.setattr(eigen, "_cyclic_stack_kernel", cyclic_stack)
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, ("0", "1", "160"), out) == EXIT_PASS
-    # a chunk closes once it holds STACK_MAX_ENTRIES entries, and its stack is
-    # solved in parts of at most that many
+    # a chunk closes once its residuals and means hold STACK_MAX_ENTRIES
+    # entries, and its stack is solved in parts of at most that many
     assert len(chunks) >= 2 and all(k * n * n >= STACK_MAX_ENTRIES for k in chunks[:-1])
     assert entries and max(entries) <= STACK_MAX_ENTRIES
     header, *rows = out.read_text(encoding="utf-8").splitlines(keepends=True)

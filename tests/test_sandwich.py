@@ -151,6 +151,15 @@ class TestBoxes:
         with pytest.raises(DomainError, match="invalid uniform box"):
             UniformBox(m, M)
 
+    def test_uniform_box_needs_a_finite_ratio(self):
+        with pytest.raises(DomainError, match=r"^uniform box needs a finite ratio M / m, "
+                                              r"got \(1e-300, 1e\+300\)$"):
+            UniformBox(1e-300, 1e300)
+        # ends as far apart as the ratio allows still build and catalog
+        box = UniformBox(1e-300, 1e7)
+        assert box.h < math.inf
+        assert len(catalog(SandwichInterval(0.5, 2.0), 0.5, uniform_box=box)) == len(TABLE)
+
     @pytest.mark.parametrize("case,bands,sandwich", [
         ("a_below_b", ((1.0, 2.0), (3.0, 6.0)), (1.5, 6.0)),
         ("b_below_a", ((3.0, 6.0), (1.0, 2.0)), (1 / 6, 2 / 3)),

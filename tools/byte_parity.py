@@ -10,10 +10,11 @@ Runs ``meancert.cli.main`` in this process, taking the package from
   ``sweep`` over [-1, 2] and ``random --count 3``, for n = 1-17 and 32 and
   a ``gen_instance`` pair in each of the four regimes (n = 15, 16, 17 and 32
   take verify's stacked route, at both parities);
-- twelve edge runs: a not-checkable literature row, a numerical failure, a
+- fifteen edge runs: a not-checkable literature row, a numerical failure, a
   dimension mismatch, subnormal and large entries, a long sweep, a
-  3-weight sweep at n = 4 whose one stack holds fewer than 32 residuals, and
-  ``compare`` as JSON and CSV.
+  3-weight sweep at n = 4 whose one stack holds fewer than 32 residuals,
+  ``compare`` as JSON and CSV, and three sweeps that fail on a mean's check
+  while a later weight fails otherwise.
 
 Each output line is ``<sha256 of exit code, stdout and stderr>  <case>``,
 and the last one is ``<sha256 of every line above>  total``.  Two trees give
@@ -76,8 +77,8 @@ def cases() -> dict[str, list[str]]:
     dragomir = _pair("dragomir", eye2, np.diag([60.0, 66.0]))
     for v in ("0.5", "0.1", "1.5", "-0.3"):
         out[f"edge/dragomir-not-checkable/v={v}"] = ["check", *dragomir, "--v", v]
-    out["edge/geometric-mean-overflow"] = [
-        "check", *_pair("overflow", 1e20 * eye2, 1e21 * eye2), "--v", "300"]
+    overflow = _pair("overflow", 1e20 * eye2, 1e21 * eye2)
+    out["edge/geometric-mean-overflow"] = ["check", *overflow, "--v", "300"]
     out["edge/dimension-mismatch"] = [
         "check", *_pair("mismatch", eye2, 2.0 * np.eye(3)), "--v", "0.5"]
     out["edge/subnormal-entries"] = [
@@ -97,6 +98,15 @@ def cases() -> dict[str, list[str]]:
     out["edge/compare-csv"] = [
         "compare", "--h-range", "1", "100", "20", "--v-range", "0.05", "0.95", "19",
         "--format", "csv"]
+    # weight 200's mean overflows its norm, and weight 300's has entries that are
+    # not finite: the sweep names weight 200
+    out["edge/sweep-mean-overflow"] = ["sweep", *overflow, "--v-range", "0", "300", "4"]
+    # B below A: the geometric mean first fails its PD check at weight 18, and at
+    # weights 509 and 1000 the relative spectrum's power underflows while it is built
+    below = _pair("below", *(m.mat for m in certify.gen_instance(2, 0.2, 0.7, 102)))
+    out["edge/sweep-mean-not-pd"] = ["sweep", *below, "--v-range", "12", "20", "9"]
+    out["edge/sweep-mean-not-pd-then-underflow"] = [
+        "sweep", *below, "--v-range", "18", "1000", "3"]
     return out
 
 

@@ -16,12 +16,13 @@ Runs ``meancert.cli.main`` in this process, taking the package from
 A unit's counts cover the whole CLI run, the loading of both matrix files
 included.  Solves are counted inside the Jacobi kernels, so a stacked
 solve of k matrices counts k solves, under ``round_robin`` or, for the
-stacked form of the cyclic kernel, ``cyclic``; a Loewner check on a stack of
-k matrices counts k checks.  None of the counts depends on the host's
+stacked form of the cyclic kernel, ``cyclic``; a Loewner check is counted
+where the Loewner rule (``eigen._loewner_verdict``) judges a residual, so
+each residual of a stack counts one.  None of the counts depends on the host's
 speed.  Each output line is one JSON object per workload:
 ``reports``, the reports its units wrote, ``exits``, each unit's exit code,
 ``solves``, per kernel the solves at each n, ``n3``, the sum of n^3 over
-those solves, ``loewner_checks`` and ``mat_fpow``, the calls of that
+those solves, ``loewner_checks``, and ``mat_fpow``, the calls of that
 function.  Matrix files are written to a temporary directory, so no path of
 this machine enters the output.
 """
@@ -35,8 +36,6 @@ import os
 import sys
 import tempfile
 from collections import Counter
-
-import numpy as np
 
 from meancert import certify, cli, eigen
 
@@ -76,7 +75,7 @@ def counting():
     counts = Counts()
     real_cyclic, real_round_robin = eigen._jacobi_kernel, eigen._round_robin_kernel
     real_cyclic_stack = eigen._cyclic_stack_kernel
-    real_loewner, real_fpow = eigen.loewner_geq_zero, eigen.mat_fpow
+    real_loewner, real_fpow = eigen._loewner_verdict, eigen.mat_fpow
 
     def cyclic(x, *args):
         counts.solves["cyclic"][len(x)] += 1
@@ -90,9 +89,9 @@ def counting():
         counts.solves["round_robin"][a.shape[-1]] += len(a)
         return real_round_robin(a, *args)
 
-    def loewner_geq_zero(x, *args, **kwargs):
-        counts.loewner_checks += len(x) if np.ndim(x) == 3 else 1
-        return real_loewner(x, *args, **kwargs)
+    def loewner_verdict(*args):
+        counts.loewner_checks += 1
+        return real_loewner(*args)
 
     def mat_fpow(x, p):
         counts.mat_fpow += 1
@@ -101,7 +100,7 @@ def counting():
     wrappers = {id(real): wrapper for real, wrapper in (
         (real_cyclic, cyclic), (real_cyclic_stack, cyclic_stack),
         (real_round_robin, round_robin),
-        (real_loewner, loewner_geq_zero), (real_fpow, mat_fpow))}
+        (real_loewner, loewner_verdict), (real_fpow, mat_fpow))}
     replaced = []
     modules = [m for name, m in sys.modules.items()
                if name == "meancert" or name.startswith("meancert.")]
