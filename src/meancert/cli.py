@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import certify
+from . import certify, eigen
 from .certify import (
     CATALOG_ORDER,
     BoundStatement,
@@ -33,7 +33,7 @@ from .certify import (
     verify,
 )
 from .eigen import DEFAULT_LOEWNER_TOL, MAX_DIM, SymPDMatrix
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, InputError, MeanCertError, NumericalError
 from .sandwich import PairContext
 
 EXIT_PASS = 0
@@ -61,9 +61,9 @@ def _reason(exc: Exception) -> str:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def load_matrix(path: str) -> SymPDMatrix:
-    """Parse a matrix file and build the PD matrix it describes; every way
-    the file can be unusable is an InputError naming it."""
+def _read_matrix(path: str) -> np.ndarray:
+    """Parse a matrix file into its array; every way the file can be
+    unusable is an InputError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.loads(f.read())
@@ -81,10 +81,22 @@ def load_matrix(path: str) -> SymPDMatrix:
             raise InputError("'data' entries must be JSON numbers")
     except (OSError, ValueError, TypeError, OverflowError, RecursionError, InputError) as exc:
         raise InputError(f"{path}: {_reason(exc)}") from exc
+    return arr
+
+
+def _named(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on the matrix read from ``path``; a refusal
+    is an InputError naming the file, a numerical failure passes as it is."""
     try:
-        return SymPDMatrix(arr)
+        return build(*args, **kwargs)
     except (InputError, DomainError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def load_matrix(path: str) -> SymPDMatrix:
+    """Parse a matrix file and build the PD matrix it describes; every way
+    the file can be unusable is an InputError naming it."""
+    return _named(path, SymPDMatrix, _read_matrix(path))
 
 
 def _write(obj, newline: str) -> str:
@@ -277,7 +289,23 @@ def certify_pair(a: SymPDMatrix, b: SymPDMatrix, v: float, tol: float) -> CertRe
 
 
 def _load_pair(args) -> tuple[SymPDMatrix, SymPDMatrix]:
-    return load_matrix(args.matrix_a), load_matrix(args.matrix_b)
+    """``load_matrix`` of A and then of B, with their bits and the first error
+    they raise, but with A and B solved as one stack (``eigen.eig_stack``)
+    when their dimensions agree."""
+    paths = (args.matrix_a, args.matrix_b)
+    try:
+        arrs = [_named(path, eigen.symmetrized, _read_matrix(path)) for path in paths]
+    except InputError:
+        load_matrix(paths[0])  # A is solved and judged before B's file error, as it loads first
+        raise
+    if arrs[0].shape != arrs[1].shape:  # each alone; the pair context reports the mismatch
+        return load_matrix(paths[0]), load_matrix(paths[1])
+    pair = []
+    for path, arr, dec in zip(paths, arrs, eigen.eig_stack(np.stack(arrs))):
+        if isinstance(dec, MeanCertError):  # a NumericalError: the entries are finite
+            raise dec
+        pair.append(_named(path, SymPDMatrix, arr, _decomp=dec, _margin=eigen.PD_REL_MARGIN))
+    return pair[0], pair[1]
 
 
 def _exit_code(reports: list[CertReport]) -> int:

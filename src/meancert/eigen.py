@@ -15,11 +15,12 @@ writing X, and returns the diagonal, the basis V (None for eigenvalues only)
 and the sweep count; the round-robin kernel returns one of each per matrix.
 The cyclic kernel also has a stacked, eigenvalues-only form, which runs its
 float operations in its order across a stack through numpy, so each matrix
-keeps its bits.  A stack of eigenvalues-only solves (a sweep's Loewner and
-PD checks) is solved by one loop over parts: below ``ROUND_ROBIN_MIN_DIM``
-a part of fewer than ``CYCLIC_STACK_MIN`` matrices one matrix at a time on
-the cyclic kernel and a larger one on its stacked form; from there up a
-part is a stack on the round-robin kernel.
+keeps its bits.  Every stacked solve (a chunk's Loewner and PD checks, a
+pair's two loads) runs one loop over parts, ``eig_stack``, with or
+without vectors: below ``ROUND_ROBIN_MIN_DIM`` an eigenvalues-only part of
+at least ``CYCLIC_STACK_MIN`` matrices is solved on the stacked cyclic
+kernel and any other part one matrix at a time on the cyclic kernel; from
+there up a part is a stack on the round-robin kernel.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, InputError, MeanCertError, NumericalError
 
 MAX_DIM = 512
 MAX_SWEEPS = 100
@@ -43,8 +45,8 @@ DEFAULT_LOEWNER_TOL = 1e-9
 ROUND_ROBIN_MIN_DIM = 15
 # Fewest matrices below ROUND_ROBIN_MIN_DIM that a stacked solve runs at
 # once on the stacked cyclic kernel; a smaller stack is solved one matrix at
-# a time.  Only _spectrum_ends reads it, whatever stack certify hands it
-# (README: the stacked cyclic kernel, and its crossover)
+# a time, and only an eigenvalues-only stack runs there.  Only eig_stack
+# reads it, whatever stack it is handed (README: the stacked cyclic kernel, and its crossover)
 CYCLIC_STACK_MIN = 32
 # Most matrix entries, k n^2, in one stacked solve; a larger stack is solved
 # in parts, and a sweep's chunk of checks closes once it holds this many.
@@ -517,6 +519,16 @@ def _unconverged() -> NumericalError:
     return NumericalError(f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps")
 
 
+def _decomposition(diag: list, basis, sweeps: int) -> SpectralDecomposition:
+    """A kernel's converged solve, in ascending order: ``sorted`` is stable, so
+    equal values keep their order (and sign of zero)."""
+    if basis is None:
+        return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
+    order = sorted(range(len(diag)), key=diag.__getitem__)
+    return SpectralDecomposition(np.array([diag[i] for i in order]),
+                                 np.ascontiguousarray(basis[:, order]), sweeps)
+
+
 def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by Jacobi rotations.
 
@@ -540,11 +552,44 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
         basis = None if bases is None else bases[0]
     if sweeps < 0:
         raise _unconverged()
-    if not vectors:  # sorted is stable, so equal values keep their order (and sign of zero)
-        return SpectralDecomposition(np.array(sorted(diag)), None, sweeps)
-    order = sorted(range(n), key=diag.__getitem__)
-    return SpectralDecomposition(np.array([diag[i] for i in order]),
-                                 np.ascontiguousarray(basis[:, order]), sweeps)
+    return _decomposition(diag, basis, sweeps)
+
+
+def eig_stack(xs: np.ndarray, vectors: bool = True) -> list:
+    """``eig_sym(x, vectors)`` of each matrix x of a stack shaped (k, n, n),
+    bit for bit, or in its place the error its solve raised (an InputError
+    for an entry that is not finite, else a NumericalError), which fails no
+    other.  Each norm is computed once, and the matrices of finite norm are
+    solved in parts of at most ``STACK_MAX_ENTRIES`` entries on the kernels
+    the module docstring names; a part below ``CYCLIC_STACK_MIN`` matrices
+    is faster solved one matrix at a time on the cyclic kernel.
+    """
+    n = _as_square(xs[0]).shape[0] if len(xs) else 0
+    out, norms = [None] * len(xs), []
+    for i, x in enumerate(xs):
+        try:
+            norms.append(_checked_norm(x))
+        except (InputError, NumericalError) as exc:
+            out[i] = exc
+    solved = [i for i, value in enumerate(out) if value is None]
+    step = max(1, STACK_MAX_ENTRIES // max(1, n * n))
+    for part in range(0, len(solved), step):
+        at, part_norms = solved[part:part + step], norms[part:part + step]
+        # the kernels copy each part into their work matrices
+        if n >= ROUND_ROBIN_MIN_DIM:
+            diagonals, bases, sweeps = _round_robin_kernel(xs[at], vectors, MAX_SWEEPS,
+                                                           OFF_DIAG_REL_TOL, part_norms)
+        elif not vectors and len(at) >= CYCLIC_STACK_MIN:
+            (diagonals, sweeps), bases = _cyclic_stack_kernel(
+                xs[at], MAX_SWEEPS, OFF_DIAG_REL_TOL, part_norms), None
+        else:
+            diagonals, bases, sweeps = zip(*(
+                _jacobi_kernel(xs[i], vectors, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
+                for i, norm in zip(at, part_norms)))
+        for i, diagonal, basis, used in zip(at, diagonals,
+                                            repeat(None) if bases is None else bases, sweeps):
+            out[i] = _unconverged() if used < 0 else _decomposition(diagonal, basis, used)
+    return out
 
 
 def require_pd(eigenvalues: np.ndarray, margin: float) -> None:
@@ -558,39 +603,47 @@ def require_pd(eigenvalues: np.ndarray, margin: float) -> None:
         )
 
 
+def symmetrized(entries) -> np.ndarray:
+    """(X + X^T) / 2 of a square matrix X whose entries are finite and whose
+    asymmetry is round-off scale; else an InputError."""
+    arr = _as_square(entries)
+    top = float(np.abs(arr).max())
+    if not math.isfinite(top):  # a NaN or inf entry, which the scan reports
+        _require_finite(arr)
+    scale = max(1.0, top)
+    # X - X^T is exactly antisymmetric, so its largest entry is its largest magnitude
+    asym = float((arr - arr.T).max())
+    if asym > SYMMETRY_REL_TOL * scale:
+        raise InputError(
+            f"matrix is not symmetric: max asymmetry {asym:.3e} "
+            f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
+        )
+    # halve before adding so near-overflow entries survive symmetrization
+    half = arr * 0.5
+    return half + half.T
+
+
 class SymPDMatrix:
     """Real symmetric positive-definite matrix with cached spectral data.
 
-    Construction checks the asymmetry is round-off scale, symmetrizes, and
-    applies ``require_pd`` to a full eigensolve.  ``from_spectrum`` builds
-    an exactly symmetric matrix from a given spectrum, which need only be
-    positive: it is a power of a checked matrix or a generator's choice.
-    Instances are treated as immutable; nothing mutates ``mat`` or the
-    cached decomposition.
+    Construction applies ``symmetrized``, then ``require_pd`` to an
+    ``eig_sym`` solve; a matrix ``symmetrized`` returned may come with its
+    solve as ``_decomp`` and ``_margin=PD_REL_MARGIN`` (the pair loader's
+    ``eig_stack``).  ``from_spectrum`` builds an exactly symmetric matrix
+    from a given spectrum, which need only be positive: it is a power of a
+    checked matrix or a generator's choice.  Instances are treated as
+    immutable; nothing mutates ``mat`` or the cached decomposition.
     """
 
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors")
 
-    def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None):
-        arr = _as_square(entries)
-        dec, margin = _decomp, 0.0
-        if dec is None:  # a given decomposition's matrix is exactly symmetric
-            top = float(np.abs(arr).max())
-            if not math.isfinite(top):  # a NaN or inf entry, which the scan reports
-                _require_finite(arr)
-            scale = max(1.0, top)
-            # X - X^T is exactly antisymmetric, so its largest entry is its largest magnitude
-            asym = float((arr - arr.T).max())
-            if asym > SYMMETRY_REL_TOL * scale:
-                raise InputError(
-                    f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                    f"exceeds {SYMMETRY_REL_TOL:.0e} * {scale:.3e}"
-                )
-            # halve before adding so near-overflow entries survive symmetrization
-            half = arr * 0.5
-            arr = half + half.T
+    def __init__(self, entries, *, _decomp: SpectralDecomposition | None = None,
+                 _margin: float = 0.0):
+        if _decomp is None:
+            arr = symmetrized(entries)
             dec, margin = eig_sym(arr), PD_REL_MARGIN
-        else:
+        else:  # a given decomposition's matrix is exactly symmetric
+            arr, dec, margin = _as_square(entries), _decomp, _margin
             _require_finite(arr)
         require_pd(dec.eigenvalues, margin)
         self.mat = arr
@@ -649,44 +702,11 @@ class LoewnerVerdict:
 
 def _spectrum_ends(xs: np.ndarray) -> list:
     """The two ends of ``eig_sym(x, vectors=False).eigenvalues``, bit for bit,
-    for each matrix x of a stack shaped (k, n, n), or in their place the
-    error its solve raised (an InputError for an entry that is not finite,
-    else a NumericalError), which fails no other.
-
-    Each norm is computed once, and the matrices whose norm is finite are
-    solved in parts of at most ``STACK_MAX_ENTRIES`` entries, each part's
-    ends read off its diagonals.  From ``ROUND_ROBIN_MIN_DIM`` up a part is
-    solved by the round-robin kernel at once.  Below it a part of at least
-    ``CYCLIC_STACK_MIN`` matrices is solved by the stacked cyclic kernel,
-    and a smaller one matrix by matrix by the cyclic kernel, which is faster
-    alone; both give the same bits.
-    """
-    n = _as_square(xs[0]).shape[0] if len(xs) else 0
-    out, norms = [None] * len(xs), []
-    for i, x in enumerate(xs):
-        try:
-            norms.append(_checked_norm(x))
-        except (InputError, NumericalError) as exc:
-            out[i] = exc
-    solved = [i for i, value in enumerate(out) if value is None]
-    step = max(1, STACK_MAX_ENTRIES // max(1, n * n))
-    for part in range(0, len(solved), step):
-        at, part_norms = solved[part:part + step], norms[part:part + step]
-        # the kernels copy each part into their work matrices; eigenvalues only
-        if n >= ROUND_ROBIN_MIN_DIM:
-            diagonals, _, sweeps = _round_robin_kernel(xs[at], False, MAX_SWEEPS,
-                                                       OFF_DIAG_REL_TOL, part_norms)
-        elif len(at) >= CYCLIC_STACK_MIN:
-            diagonals, sweeps = _cyclic_stack_kernel(xs[at], MAX_SWEEPS, OFF_DIAG_REL_TOL,
-                                                     part_norms)
-        else:
-            diagonals, _, sweeps = zip(*(
-                _jacobi_kernel(xs[i], False, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
-                for i, norm in zip(at, part_norms)))
-        for i, diagonal, used in zip(at, diagonals, sweeps):
-            # as eig_sym's stable sort: min keeps the first of equal values, max(reversed) the last
-            out[i] = _unconverged() if used < 0 else (min(diagonal), max(reversed(diagonal)))
-    return out
+    for each matrix x of a stack shaped (k, n, n), from one eigenvalues-only
+    ``eig_stack``; in their place, the error its solve raised."""
+    return [dec if isinstance(dec, MeanCertError)
+            else (float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]))
+            for dec in eig_stack(xs, vectors=False)]
 
 
 def _loewner_verdict(min_eig: float, scale: float, tol_rel: float) -> LoewnerVerdict:

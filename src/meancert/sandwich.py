@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigen import (
+    ROUND_ROBIN_MIN_DIM,
     SpectralDecomposition,
     SymPDMatrix,
     check_same_dim,
@@ -137,12 +138,13 @@ class PairContext:
     computed by the same operations as for a single weight, so every
     weight's report has the same bits as a one-weight run, whether a sweep
     solves a weight's PD and Loewner checks alone or stacked with other
-    weights' (``certify.verify_weights``).  C is formed once and both
-    solves of it read it.  The sandwich keeps its own eigenvalues-only solve
-    (perfbench pins a one-weight report at 11 eigensolves), so a pair solves
-    its relative spectrum twice in all.  Nothing is checked or solved when
-    the context is made: the first use raises whatever its part raises, and
-    forming C checks the dimensions first.
+    weights' (``certify.verify_weights``).  C is formed once, and from
+    ``ROUND_ROBIN_MIN_DIM`` up solved once: the sandwich reads its ends off
+    the relative spectrum, whose eigenvalues have the bits of an
+    eigenvalues-only solve.  Below it the sandwich keeps that solve
+    (perfbench pins a dim-6 report at 11 eigensolves).  Nothing is checked
+    or solved when the context is made: the first use raises whatever its
+    part raises, and forming C checks the dimensions first.
     """
 
     def __init__(self, a: SymPDMatrix, b: SymPDMatrix):
@@ -156,7 +158,10 @@ class PairContext:
 
     @cached_property
     def sandwich(self) -> SandwichInterval:
-        return sandwich_of(self.relative_matrix)
+        if self.a.dim < ROUND_ROBIN_MIN_DIM:
+            return sandwich_of(self.relative_matrix)
+        lam = self.relative.eigenvalues
+        return SandwichInterval(float(lam[0]), float(lam[-1]))
 
     @cached_property
     def relative(self) -> SpectralDecomposition:

@@ -718,8 +718,8 @@ def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, 
     def started(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("load_matrix", "_grid", "certify_pair", "certify_weight",
-                 "compare_constants"):
+    for name in ("load_matrix", "_load_pair", "_read_matrix", "_grid", "certify_pair",
+                 "certify_weight", "compare_constants"):
         monkeypatch.setattr(cli, name, started)
     assert main([paths.get(x, x) for x in [*argv, "--out", out]]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {paths[out]}: {reason}\n"

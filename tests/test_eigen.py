@@ -426,6 +426,21 @@ class TestStackedEnds:
             assert ends_bytes(got) == solo_ends(x)
         assert {loewner_geq_zero(x, 1e-9).holds for x in xs} == {True, False}
 
+    @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([1, 2, 8, 14, 15, 16, 17, 32],
+                                                                [8, 14]))
+    def test_with_vectors_each_solve_is_eig_syms(self, n, crossover, monkeypatch):
+        """``eig_stack`` with vectors: each decomposition has ``eig_sym``'s
+        bits, and no crossover sends it to the eigenvalues-only stacked kernel."""
+        sizes = cyclic_stack_sizes(monkeypatch, crossover)
+        xs = stack_cases(n)
+        monkeypatch.setattr(eigen, "STACK_MAX_ENTRIES", 3 * n * n)  # parts of 3, 3 and 1
+        for x, got in zip(xs, eigen.eig_stack(xs)):
+            want = eig_sym(x)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.sweeps == want.sweeps
+        assert sizes == []
+
     @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([3, 14, 16], [3, 14]))
     def test_a_failed_solve_is_reported_in_its_place(self, n, crossover, monkeypatch):
         sizes = cyclic_stack_sizes(monkeypatch, crossover)

@@ -238,6 +238,32 @@ def test_sweep_solves_the_relative_spectrum_twice_in_all(tmp_path, kernel_solves
     assert Counter(c for c in work if c[0] != relative) == per_weight
 
 
+@pytest.mark.parametrize("n", [6, 16])
+def test_a_check_from_the_crossover_up_solves_c_once(tmp_path, kernel_solves, monkeypatch, n):
+    a_path, b_path = _pair_files(tmp_path, n, "straddle")
+    a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
+    relative = congruence(b.mat, mat_fpow(a, -0.5).mat).tobytes()
+    calls = []
+    for name in ("_jacobi_kernel", "_cyclic_stack_kernel", "_round_robin_kernel"):
+        monkeypatch.setattr(eigen, name, lambda *args, spy=getattr(eigen, name), name=name:
+                            calls.append(name) or spy(*args))
+    kernel_solves.clear()
+    assert main(["check", "--matrix-a", a_path, "--matrix-b", b_path, "--v", "0.5",
+                 "--out", str(tmp_path / "report.json")]) == EXIT_PASS
+    solves_of_c = [vec for _, x, vec in kernel_solves if x == relative]
+    if n < ROUND_ROBIN_MIN_DIM:
+        # the sandwich keeps its own eigenvalues-only solve of C
+        assert solves_of_c == [False, True] and "_round_robin_kernel" not in calls
+        return
+    # [A, B], [C with vectors], [the means and residuals]: 3 kernel calls
+    assert solves_of_c == [True]
+    assert calls == ["_round_robin_kernel"] * 3
+    assert kernel_solves[:3] == [("round-robin", a.mat.tobytes(), True),
+                                 ("round-robin", b.mat.tobytes(), True),
+                                 ("round-robin", relative, True)]
+    assert not any(vec for _, _, vec in kernel_solves[3:])
+
+
 @pytest.fixture
 def congruences(monkeypatch):
     """Every congruence the sandwich module forms: C = A^(-1/2) B A^(-1/2) is its only one."""

@@ -42,6 +42,7 @@ def test_a_dim6_report_counts_one_solve_per_eig_sym_call(monkeypatch):
     assert report.overall_pass
     got = counts.as_dict()
     assert got["solves"] == {"cyclic": {"6": len(calls)}, "round_robin": {}}
+    assert got["kernel_calls"] == {"cyclic": len(calls), "round_robin": 0}
     assert got["n3"] == len(calls) * 6 ** 3
     assert 0 < got["loewner_checks"] < len(calls)
     # the counting wrappers are gone once the block exits
@@ -61,13 +62,21 @@ def test_the_tool_prints_one_line_per_workload():
         assert line["reports"] > 0 and line["loewner_checks"] > 0
         solves = [(int(n), k) for by_n in line["solves"].values() for n, k in by_n.items()]
         assert line["n3"] == sum(n ** 3 * k for n, k in solves) > 0
-    # n = 32 runs the round-robin kernel, the smaller dimensions the cyclic one
-    assert lines[2]["solves"]["cyclic"] == {} and lines[2]["solves"]["round_robin"]["32"] > 0
+        # each kernel call solves at least one matrix
+        for kernel, calls in line["kernel_calls"].items():
+            assert calls <= sum(line["solves"][kernel].values())
+            assert (calls > 0) == bool(line["solves"][kernel])
+    # n = 32 runs the round-robin kernel, the smaller dimensions the cyclic one; its
+    # check makes three passes: [A, B], [C with vectors], [the means and residuals]
+    assert lines[2]["kernel_calls"] == {"cyclic": 0, "round_robin": 3}
+    assert lines[2]["solves"] == {"cyclic": {}, "round_robin": {"32": 16}}
+    assert lines[2]["n3"] == 16 * 32 ** 3
 
 
 def test_the_sweep_line_is_the_same_on_either_cyclic_route(tmp_path, monkeypatch):
-    """The sweep-reuse unit counts the same work whether its Loewner checks run
-    one matrix at a time, on the measured crossover, or stacked at any size."""
+    """The sweep-reuse unit counts the same solves whether its Loewner checks
+    run one matrix at a time, on the measured crossover, or stacked at any
+    size; only its kernel calls differ."""
     work_counts = load_tool()
     monkeypatch.chdir(tmp_path)
     (argv, _), = work_counts.workloads()["sweep-reuse"]
@@ -88,4 +97,6 @@ def test_the_sweep_line_is_the_same_on_either_cyclic_route(tmp_path, monkeypatch
             assert work_counts.run_unit(argv) == cli.EXIT_PASS
         lines[route] = counts.as_dict()
         assert bool(stacked) == (route != "solo")
+    calls = {route: line.pop("kernel_calls")["cyclic"] for route, line in lines.items()}
     assert lines["solo"] == lines["crossover"] == lines["always"]
+    assert calls["solo"] > calls["crossover"] >= calls["always"]

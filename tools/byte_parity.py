@@ -10,11 +10,14 @@ Runs ``meancert.cli.main`` in this process, taking the package from
   ``sweep`` over [-1, 2] and ``random --count 3``, for n = 1-17 and 32 and
   a ``gen_instance`` pair in each of the four regimes (n = 15, 16, 17 and 32
   take verify's stacked route, at both parities);
-- fifteen edge runs: a not-checkable literature row, a numerical failure, a
-  dimension mismatch, subnormal and large entries, a long sweep, a
+- eighteen edge runs: a not-checkable literature row, a numerical failure,
+  a dimension mismatch, subnormal and large entries, a long sweep, a
   3-weight sweep at n = 4 whose one stack holds fewer than 32 residuals,
-  ``compare`` as JSON and CSV, and three sweeps that fail on a mean's check
-  while a later weight fails otherwise.
+  ``compare`` as JSON and CSV, three sweeps that fail on a mean's check
+  while a later weight fails otherwise, and three n = 16 pairs whose
+  loading fails (A not PD with B's file missing, B not PD, and a 16 vs 15
+  dimension mismatch), which the pair loader must refuse in the order of
+  loading A and then B.
 
 Each output line is ``<sha256 of exit code, stdout and stderr>  <case>``,
 and the last one is ``<sha256 of every line above>  total``.  Two trees give
@@ -107,6 +110,15 @@ def cases() -> dict[str, list[str]]:
     out["edge/sweep-mean-not-pd"] = ["sweep", *below, "--v-range", "12", "20", "9"]
     out["edge/sweep-mean-not-pd-then-underflow"] = [
         "sweep", *below, "--v-range", "18", "1000", "3"]
+    # n = 16 loads both matrices in one stacked solve, whose errors keep their order
+    spd = certify.gen_instance(16, 0.5, 3.0, SEED)[0].mat
+    not_pd = np.diag(np.linspace(-1.0, 1.0, 16))
+    out["edge/n16-a-not-pd-b-missing"] = [
+        "check", *_pair("n16_not_pd", not_pd, spd)[:3], "missing_b.json", "--v", "0.5"]
+    out["edge/n16-b-not-pd"] = ["check", *_pair("n16_b_not_pd", spd, not_pd), "--v", "0.5"]
+    out["edge/n16-dimension-mismatch"] = [
+        "check", *_pair("n16_mismatch", spd, certify.gen_instance(15, 0.5, 3.0, SEED)[1].mat),
+        "--v", "0.5"]
     return out
 
 

@@ -1,4 +1,5 @@
-"""Exact work per report: eigensolves, their n^3 sum, Loewner checks and ``mat_fpow`` calls.
+"""Exact work per report: kernel calls, eigensolves, their n^3 sum, Loewner checks and
+``mat_fpow`` calls.
 
     PYTHONPATH=src python3 tools/work_counts.py > counts.txt
     PYTHONPATH=/path/to/other/tree/src python3 tools/work_counts.py | diff counts.txt -
@@ -16,15 +17,17 @@ Runs ``meancert.cli.main`` in this process, taking the package from
 A unit's counts cover the whole CLI run, the loading of both matrix files
 included.  Solves are counted inside the Jacobi kernels, so a stacked
 solve of k matrices counts k solves, under ``round_robin`` or, for the
-stacked form of the cyclic kernel, ``cyclic``; a Loewner check is counted
-where the Loewner rule (``eigen._loewner_verdict``) judges a residual, so
-each residual of a stack counts one.  None of the counts depends on the host's
-speed.  Each output line is one JSON object per workload:
-``reports``, the reports its units wrote, ``exits``, each unit's exit code,
-``solves``, per kernel the solves at each n, ``n3``, the sum of n^3 over
-those solves, ``loewner_checks``, and ``mat_fpow``, the calls of that
-function.  Matrix files are written to a temporary directory, so no path of
-this machine enters the output.
+stacked form of the cyclic kernel, ``cyclic``, and one kernel call: a
+pass, whose fixed cost of numpy calls its matrices share.  A Loewner check
+is counted where the Loewner rule (``eigen._loewner_verdict``) judges a
+residual, so each residual of a stack counts one.  None of the counts
+depends on the host's speed.  Each output line is one JSON object per
+workload: ``reports``, the reports its units wrote, ``exits``, each unit's
+exit code, ``kernel_calls``, per kernel its calls, ``solves``, per kernel
+the solves at each n, ``n3``, the sum of n^3 over those solves,
+``loewner_checks``, and ``mat_fpow``, the calls of that function.  Matrix
+files are written to a temporary directory, so no path of this machine
+enters the output.
 """
 
 from __future__ import annotations
@@ -50,12 +53,14 @@ class Counts:
     """The work of the runs made inside one ``counting`` block."""
 
     def __init__(self):
+        self.kernel_calls = Counter({"cyclic": 0, "round_robin": 0})
         self.solves = {"cyclic": Counter(), "round_robin": Counter()}
         self.loewner_checks = 0
         self.mat_fpow = 0
 
     def as_dict(self) -> dict:
         return {
+            "kernel_calls": dict(self.kernel_calls),
             "solves": {kernel: {str(n): by_n[n] for n in sorted(by_n)}
                        for kernel, by_n in self.solves.items()},
             "n3": sum(n ** 3 * k for by_n in self.solves.values() for n, k in by_n.items()),
@@ -77,16 +82,20 @@ def counting():
     real_cyclic_stack = eigen._cyclic_stack_kernel
     real_loewner, real_fpow = eigen._loewner_verdict, eigen.mat_fpow
 
+    def solving(kernel, n, k):
+        counts.kernel_calls[kernel] += 1
+        counts.solves[kernel][n] += k
+
     def cyclic(x, *args):
-        counts.solves["cyclic"][len(x)] += 1
+        solving("cyclic", len(x), 1)
         return real_cyclic(x, *args)
 
     def cyclic_stack(a, *args):
-        counts.solves["cyclic"][a.shape[-1]] += len(a)
+        solving("cyclic", a.shape[-1], len(a))
         return real_cyclic_stack(a, *args)
 
     def round_robin(a, *args):
-        counts.solves["round_robin"][a.shape[-1]] += len(a)
+        solving("round_robin", a.shape[-1], len(a))
         return real_round_robin(a, *args)
 
     def loewner_verdict(*args):
