@@ -338,8 +338,10 @@ def _grid(name: str, bounds, space=np.linspace, least=-math.inf,
 def cmd_sweep(args) -> int:
     _check_out(args.out)
     pair = PairContext(*_load_pair(args))
-    # the weights' Loewner checks are solved in chunks; each report has the
-    # bits of a one-weight run, and a failing weight raises what its run would
+    # the weights' checks are solved in chunks; each report has the verdicts,
+    # constants, s and t of a one-weight run, and its bits unless the chunk is
+    # a round-robin stack below ROUND_ROBIN_MIN_DIM (PairContext); a failing
+    # weight raises what its run would
     weights = (_weight(pair, v, args.tol) for v in _grid("v", args.v_range))
     reports = certify.verify_weights(pair, weights, args.tol)
     _write_out(reports_to_csv(reports), args.out)

@@ -5,22 +5,23 @@ machine precision for the desk-scale dimensions this package targets
 (n <= 512), with no dependence on LAPACK.  Everything downstream
 (fractional powers, congruences, Loewner-order checks) goes through it.
 
-There are two kernels with one convergence rule and one contract, and the
-dimension picks one.  Below ``ROUND_ROBIN_MIN_DIM`` the cyclic kernel rotates
-one pair at a time in straight-line Python compiled once per dimension; from
-there up the round-robin kernel applies n/2 disjoint rotations at once
-through numpy, to one matrix or a (k, n, n) stack.  Each kernel takes the
-caller's raw matrix (or stack) and its norm, solves (X + X^T) / 2 without
-writing X, and returns the diagonal, the basis V (None for eigenvalues only)
-and the sweep count; the round-robin kernel returns one of each per matrix.
-The cyclic kernel also has a stacked, eigenvalues-only form, which runs its
-float operations in its order across a stack through numpy, so each matrix
-keeps its bits.  Every stacked solve (a chunk's Loewner and PD checks, a
-pair's two loads) runs one loop over parts, ``eig_stack``, with or
-without vectors: below ``ROUND_ROBIN_MIN_DIM`` an eigenvalues-only part of
-at least ``CYCLIC_STACK_MIN`` matrices is solved on the stacked cyclic
-kernel and any other part one matrix at a time on the cyclic kernel; from
-there up a part is a stack on the round-robin kernel.
+There are two kernels with one convergence rule and one contract.  The
+cyclic kernel rotates one pair at a time in straight-line Python compiled
+once per dimension; the round-robin kernel applies n/2 disjoint rotations at
+once through numpy, to one matrix or a (k, n, n) stack.  Each kernel takes
+the caller's raw matrix (or stack) and its norm, solves (X + X^T) / 2
+without writing X, and returns the diagonal, the basis V (None for
+eigenvalues only) and the sweep count; the round-robin kernel returns one of
+each per matrix.  A lone solve, ``eig_sym``, runs the cyclic kernel below
+``ROUND_ROBIN_MIN_DIM`` and the round-robin kernel from there up.  Every
+stacked solve (a chunk's Loewner and PD checks, a pair's two loads) runs one
+loop over parts, ``eig_stack``, with or without vectors: a part is a stack
+on the round-robin kernel from ``ROUND_ROBIN_MIN_DIM`` up, and below it when
+it is eigenvalues only and holds at least ``ROUND_ROBIN_STACK_MIN``
+matrices; any other part is solved one matrix at a time on the cyclic
+kernel.  Each matrix of a round-robin stack has the bits of its own lone
+round-robin solve, so below ``ROUND_ROBIN_MIN_DIM`` such a stack's
+eigenvalues differ from ``eig_sym``'s in their last bits.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # Smallest dimension the round-robin kernel takes; below it the cyclic
 # kernel runs (README: the crossover, and why it stays at 15).
 ROUND_ROBIN_MIN_DIM = 15
-# Fewest matrices below ROUND_ROBIN_MIN_DIM that a stacked solve runs at
-# once on the stacked cyclic kernel; a smaller stack is solved one matrix at
-# a time, and only an eigenvalues-only stack runs there.  Only eig_stack
-# reads it, whatever stack it is handed (README: the stacked cyclic kernel, and its crossover)
-CYCLIC_STACK_MIN = 32
+# Fewest matrices below ROUND_ROBIN_MIN_DIM that an eigenvalues-only stacked
+# solve runs at once on the round-robin kernel; a smaller stack, or one with
+# vectors, is solved one matrix at a time on the cyclic kernel.  Only
+# eig_stack reads it (README: stacked solves)
+ROUND_ROBIN_STACK_MIN = 32
 # Most matrix entries, k n^2, in one stacked solve; a larger stack is solved
 # in parts, and a sweep's chunk of checks closes once it holds this many.
 # The kernels' buffers grow with k n^2, and from about n = 128 up a round's
@@ -166,116 +167,6 @@ def _jacobi_kernel(x, vectors, max_sweeps, rel_tol, norm):
         for run in runs:
             u = run(u, w, rotate_floor)
     return diagonal(u), np.array(w).T if vectors else None, sweep
-
-
-def _cyclic_stack_kernel(a, max_sweeps, rel_tol, norms):
-    """``_jacobi_kernel``'s eigenvalues-only solve of every matrix of a stack at once.
-
-    ``a`` is a stack of k n x n matrices shaped (k, n, n), which is never
-    written, and ``norms`` their k norms.  The work stack holds the k
-    symmetrized matrices entry-major, shaped (n, n, k), so row i of every
-    matrix is one (n, k) block and each rotation (p, q) of the cyclic loop
-    over p < q is a few numpy calls across the stack.  Every matrix runs the
-    float operations of its own ``_jacobi_kernel`` solve, in its order:
-    (X + X^T) / 2 is formed as there, the off-diagonal mass is summed in row
-    order (``add.accumulate`` is sequential), each rotation updates rows p
-    and q of every matrix with the kernel's formulas, and a matrix whose
-    (p, q) entry is at or below its rotation floor keeps every entry.  At
-    the start of a sweep a matrix that has converged has its diagonal taken
-    and leaves the stack, so every diagonal and sweep count keeps its bits.
-
-    Returns ``(diagonals, sweeps)``: each matrix's diagonal as a list, and
-    the list of sweeps used, -1 for a matrix whose off-diagonal mass did not
-    drop below ``rel_tol * norm`` within ``max_sweeps`` sweeps; such a matrix
-    has NaN for its diagonal and leaves the others unaffected.
-    """
-    k, n = a.shape[:2]
-    sweeps = np.full(k, -1)
-    diagonals = np.full((k, n), math.nan)
-    slots = np.arange(k)  # the stack entry of each matrix still rotating
-    norm = np.array(norms, dtype=float)
-    tol = rel_tol * norm
-    floor = 0.01 * rel_tol * norm / (n * n)
-    x = np.add(a, a.transpose(0, 2, 1)).transpose(1, 2, 0)
-    x = np.multiply(x, 0.5, order="C")
-    rows, cols = np.triu_indices(n, 1)  # the upper triangle in row order
-    at = range(n)
-    m = 0  # the stack's size when its buffers were last allocated
-    # a pair at or below the floor may divide by zero here; it keeps its entries
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for sweep in range(max_sweeps + 1):
-            upper = x[rows, cols]
-            terms = upper * 2.0
-            terms *= upper
-            off = np.add.accumulate(terms, axis=0)[-1] if len(terms) else np.zeros(len(slots))
-            done = np.sqrt(off) <= tol
-            if done.any():
-                diagonals[slots[done]] = x[at, at][:, done].T
-                sweeps[slots[done]] = sweep
-                rotating = ~done
-                x = np.ascontiguousarray(x[:, :, rotating])
-                slots, tol, floor = slots[rotating], tol[rotating], floor[rotating]
-            if sweep == max_sweeps or not len(slots):
-                break
-            if len(slots) != m:
-                m = len(slots)
-                theta, work, t, c, s, tau, t_apq, new_pp, new_qq, new_pq = np.empty((10, m))
-                skip, negative = np.empty((2, m), dtype=bool)
-                new_p, new_q = np.empty((2, n, m))
-            for p in range(n - 1):
-                x_p, app = x[p], x[p, p]
-                for q in range(p + 1, n):
-                    x_q, aqq, apq = x[q], x[q, q], x[p, q]
-                    np.abs(apq, out=work)
-                    np.less_equal(work, floor, out=skip)
-                    skipped = np.count_nonzero(skip)
-                    if skipped == m:
-                        continue
-                    np.subtract(aqq, app, out=theta)
-                    np.multiply(theta, 0.5, out=theta)
-                    np.divide(theta, apq, out=theta)
-                    np.multiply(theta, theta, out=work)
-                    np.add(work, 1.0, out=work)
-                    np.sqrt(work, out=work)
-                    np.abs(theta, out=t)
-                    np.add(t, work, out=t)
-                    np.divide(1.0, t, out=t)
-                    np.less(theta, 0.0, out=negative)
-                    np.negative(t, out=t, where=negative)
-                    np.multiply(t, t, out=c)
-                    np.add(c, 1.0, out=c)
-                    np.sqrt(c, out=c)
-                    np.divide(1.0, c, out=c)
-                    np.multiply(t, c, out=s)
-                    np.add(c, 1.0, out=tau)
-                    np.divide(s, tau, out=tau)
-                    np.multiply(t, apq, out=t_apq)
-                    np.subtract(app, t_apq, out=new_pp)
-                    np.add(aqq, t_apq, out=new_qq)
-                    new_pq.fill(0.0)
-                    # row p: a_ip - s (a_iq + tau a_ip); row q: a_iq + s (a_ip - tau a_iq)
-                    np.multiply(x_p, tau, out=new_p)
-                    np.add(new_p, x_q, out=new_p)
-                    np.multiply(new_p, s, out=new_p)
-                    np.subtract(x_p, new_p, out=new_p)
-                    np.multiply(x_q, tau, out=new_q)
-                    np.subtract(x_p, new_q, out=new_q)
-                    np.multiply(new_q, s, out=new_q)
-                    np.add(x_q, new_q, out=new_q)
-                    if skipped:
-                        for new, old in ((new_p, x_p), (new_q, x_q), (new_pp, app),
-                                         (new_qq, aqq), (new_pq, apq)):
-                            np.copyto(new, old, where=skip)
-                    # rows and columns p and q, then the rotated block's own entries
-                    x_p[...] = new_p
-                    x_q[...] = new_q
-                    x[:, p] = new_p
-                    x[:, q] = new_q
-                    app[...] = new_pp
-                    aqq[...] = new_qq
-                    apq[...] = new_pq
-                    x[q, p] = new_pq
-    return diagonals.tolist(), sweeps.tolist()
 
 
 @functools.cache
@@ -557,12 +448,14 @@ def eig_sym(x, vectors: bool = True) -> SpectralDecomposition:
 
 def eig_stack(xs: np.ndarray, vectors: bool = True) -> list:
     """``eig_sym(x, vectors)`` of each matrix x of a stack shaped (k, n, n),
-    bit for bit, or in its place the error its solve raised (an InputError
-    for an entry that is not finite, else a NumericalError), which fails no
-    other.  Each norm is computed once, and the matrices of finite norm are
-    solved in parts of at most ``STACK_MAX_ENTRIES`` entries on the kernels
-    the module docstring names; a part below ``CYCLIC_STACK_MIN`` matrices
-    is faster solved one matrix at a time on the cyclic kernel.
+    or in its place the error its solve raised (an InputError for an entry
+    that is not finite, else a NumericalError), which fails no other.  Each
+    norm is computed once, and the matrices of finite norm are solved in
+    parts of at most ``STACK_MAX_ENTRIES`` entries on the kernels the module
+    docstring names.  Each solve has ``eig_sym``'s bits, except in an
+    eigenvalues-only part below ``ROUND_ROBIN_MIN_DIM`` of at least
+    ``ROUND_ROBIN_STACK_MIN`` matrices, where it has the bits of the
+    matrix's own round-robin solve.
     """
     n = _as_square(xs[0]).shape[0] if len(xs) else 0
     out, norms = [None] * len(xs), []
@@ -576,12 +469,9 @@ def eig_stack(xs: np.ndarray, vectors: bool = True) -> list:
     for part in range(0, len(solved), step):
         at, part_norms = solved[part:part + step], norms[part:part + step]
         # the kernels copy each part into their work matrices
-        if n >= ROUND_ROBIN_MIN_DIM:
+        if n >= ROUND_ROBIN_MIN_DIM or not vectors and len(at) >= ROUND_ROBIN_STACK_MIN:
             diagonals, bases, sweeps = _round_robin_kernel(xs[at], vectors, MAX_SWEEPS,
                                                            OFF_DIAG_REL_TOL, part_norms)
-        elif not vectors and len(at) >= CYCLIC_STACK_MIN:
-            (diagonals, sweeps), bases = _cyclic_stack_kernel(
-                xs[at], MAX_SWEEPS, OFF_DIAG_REL_TOL, part_norms), None
         else:
             diagonals, bases, sweeps = zip(*(
                 _jacobi_kernel(xs[i], vectors, MAX_SWEEPS, OFF_DIAG_REL_TOL, norm)
@@ -701,9 +591,11 @@ class LoewnerVerdict:
 
 
 def _spectrum_ends(xs: np.ndarray) -> list:
-    """The two ends of ``eig_sym(x, vectors=False).eigenvalues``, bit for bit,
-    for each matrix x of a stack shaped (k, n, n), from one eigenvalues-only
-    ``eig_stack``; in their place, the error its solve raised."""
+    """The two ends of each matrix x's eigenvalues, for a stack shaped
+    (k, n, n), from one eigenvalues-only ``eig_stack``, with its bits:
+    ``eig_sym(x, vectors=False)``'s, or below ``ROUND_ROBIN_MIN_DIM`` in a
+    stack of at least ``ROUND_ROBIN_STACK_MIN`` those of x's own round-robin
+    solve; in their place, the error its solve raised."""
     return [dec if isinstance(dec, MeanCertError)
             else (float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]))
             for dec in eig_stack(xs, vectors=False)]

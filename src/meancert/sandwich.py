@@ -135,14 +135,17 @@ class PairContext:
 
     The parts are C = A^(-1/2) B A^(-1/2), the sandwich, the relative
     spectrum with its eigenvectors, A^(1/2) and the uniform box, each
-    computed by the same operations as for a single weight, so every
-    weight's report has the same bits as a one-weight run, whether a sweep
-    solves a weight's PD and Loewner checks alone or stacked with other
-    weights' (``certify.verify_weights``).  C is formed once, and from
-    ``ROUND_ROBIN_MIN_DIM`` up solved once: the sandwich reads its ends off
-    the relative spectrum, whose eigenvalues have the bits of an
-    eigenvalues-only solve.  Below it the sandwich keeps that solve
-    (perfbench pins a dim-6 report at 11 eigensolves).  Nothing is checked
+    computed by the same operations as for a single weight.  So a sweep's
+    row (``certify.verify_weights``) has the bits of a one-weight run from
+    ``ROUND_ROBIN_MIN_DIM`` up, and below it when its chunk's stack of
+    checks is smaller than ``eigen.ROUND_ROBIN_STACK_MIN``.  A larger stack
+    there runs on the round-robin kernel, which moves the residuals in their
+    last bits but no verdict, constant, s or t
+    (``tests/test_pair_context.py::test_sweep_rows_are_the_one_weight_reports``).
+    C is formed once, and from ``ROUND_ROBIN_MIN_DIM`` up solved once: the
+    sandwich reads its ends off the relative spectrum, whose eigenvalues have
+    the bits of an eigenvalues-only solve.  Below it the sandwich keeps that
+    solve (perfbench pins a dim-6 report at 11 eigensolves).  Nothing is checked
     or solved when the context is made: the first use raises whatever its
     part raises, and forming C checks the dimensions first.
     """

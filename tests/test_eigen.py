@@ -335,15 +335,20 @@ def frobenius(x):
     return float(np.sqrt(np.sum(np.square(x))))
 
 
-@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values-only"])
-@pytest.mark.parametrize("n", [15, 16, 17, 32])
+# eig_stack hands the round-robin kernel stacks with vectors from n = 15 up, and
+# eigenvalues-only stacks at every n
+@pytest.mark.parametrize("n,vectors", [
+    *(pytest.param(n, vectors, id=f"{n}-{'vectors' if vectors else 'values-only'}")
+      for n in (15, 16, 17, 32) for vectors in (True, False)),
+    *(pytest.param(n, False, id=f"{n}-values-only") for n in range(1, eigen.ROUND_ROBIN_MIN_DIM))])
 def test_stacked_kernel_matches_reference_bit_for_bit(n, vectors):
     xs = stack_cases(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         diagonals, bases, sweeps = eigen._round_robin_kernel(
             xs, vectors, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL, [frobenius(x) for x in xs])
-    assert sweeps[1] == sweeps[2] == 0 and len(set(sweeps)) >= 3
+    # a 1 x 1 matrix needs no sweep, and a 2 x 2 one at most one
+    assert sweeps[1] == sweeps[2] == 0 and len(set(sweeps)) >= min(n, 3)
     assert (bases is None) == (not vectors)
     for i, x in enumerate(xs):
         ref = reference_round_robin_solve(x, vectors, eigen.MAX_SWEEPS, frobenius(x))
@@ -374,34 +379,42 @@ def test_an_unconverged_matrix_fails_alone(n):
         assert_same_solve(diagonals[i], bases[i], sweeps[i], diag, solo_bases[0], solo_sweeps)
 
 
-def cyclic_stack_sizes(monkeypatch, crossover):
-    """Set ``CYCLIC_STACK_MIN`` to ``crossover`` (unchanged when None) and
-    return the list of the sizes of the stacks the stacked cyclic kernel is
+def round_robin_stack_sizes(monkeypatch, crossover):
+    """Set ``ROUND_ROBIN_STACK_MIN`` to ``crossover`` (unchanged when None)
+    and return the list of the sizes of the stacks the round-robin kernel is
     then given."""
-    sizes, real = [], eigen._cyclic_stack_kernel
+    sizes, real = [], eigen._round_robin_kernel
 
     def spy(a, *args):
         sizes.append(len(a))
         return real(a, *args)
 
-    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", spy)
+    monkeypatch.setattr(eigen, "_round_robin_kernel", spy)
     if crossover is not None:
-        monkeypatch.setattr(eigen, "CYCLIC_STACK_MIN", crossover)
+        monkeypatch.setattr(eigen, "ROUND_ROBIN_STACK_MIN", crossover)
     return sizes
 
 
-def with_stacked_cyclic(dims, stacked_dims):
+def with_forced_stack(dims, stacked_dims):
     """(n, crossover) cases: each n of ``dims`` as is, then each n of
     ``stacked_dims`` with the crossover forced to 1, so that below
-    ``ROUND_ROBIN_MIN_DIM`` the stacked cyclic kernel solves the stack."""
+    ``ROUND_ROBIN_MIN_DIM`` the round-robin kernel solves an eigenvalues-only
+    stack."""
     return [*(pytest.param(n, None, id=str(n)) for n in dims),
-            *(pytest.param(n, 1, id=f"stacked-cyclic-{n}") for n in stacked_dims)]
+            *(pytest.param(n, 1, id=f"stacked-round-robin-{n}") for n in stacked_dims)]
 
 
-def solo_ends(x):
-    """The two ends of ``eig_sym(x, vectors=False)``'s spectrum, as bytes."""
-    lam = eig_sym(x, vectors=False).eigenvalues
-    return lam[0].tobytes(), lam[-1].tobytes()
+def solo_ends(x, round_robin=False):
+    """The two ends of ``eig_sym(x, vectors=False)``'s spectrum, as bytes, or
+    with ``round_robin`` those of x's own round-robin solve."""
+    if not round_robin:
+        lam = eig_sym(x, vectors=False).eigenvalues
+        return lam[0].tobytes(), lam[-1].tobytes()
+    (diag,), _, (sweeps,) = eigen._round_robin_kernel(
+        x[None], False, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL, [eigen._checked_norm(x)])
+    assert sweeps >= 0
+    lam = sorted(diag)  # as eig_stack orders it
+    return ends_bytes((lam[0], lam[-1]))
 
 
 def ends_bytes(ends):
@@ -412,26 +425,31 @@ class TestStackedEnds:
     """``_spectrum_ends`` gives each matrix of a stack the two ends of its own
     eigenvalues-only solve, or the error that solve raised."""
 
-    @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([1, 2, 8, 14, 15, 16, 17, 32],
-                                                                [1, 2, 8, 14]))
+    @pytest.mark.parametrize("n,crossover", with_forced_stack([1, 2, 8, 14, 15, 16, 17, 32],
+                                                              [1, 2, 8, 14]))
     def test_each_pair_of_ends_is_the_solo_solves(self, n, crossover, monkeypatch):
-        sizes = cyclic_stack_sizes(monkeypatch, crossover)
+        """Each matrix of a stack below the crossover gets ``eig_sym``'s ends,
+        and of a round-robin stack those of its own round-robin solve."""
+        sizes = round_robin_stack_sizes(monkeypatch, crossover)
         xs = stack_cases(n)
         xs[-1] = xs[-1] + 3.0 * np.eye(n)  # positive definite: a verdict that holds
         stacked = eigen._spectrum_ends(xs)
         assert isinstance(stacked, list) and len(stacked) == len(xs)
-        # 7 matrices are below the measured crossover, so only a forced one stacks them
-        assert sizes == ([len(xs)] if crossover == 1 else [])
+        # 7 matrices are below the measured crossover, so below ROUND_ROBIN_MIN_DIM
+        # only a forced one stacks them
+        round_robin = crossover == 1 or n >= eigen.ROUND_ROBIN_MIN_DIM
+        assert sizes == ([len(xs)] if round_robin else [])
         for x, got in zip(xs, stacked):
-            assert ends_bytes(got) == solo_ends(x)
+            assert ends_bytes(got) == solo_ends(x, round_robin)
         assert {loewner_geq_zero(x, 1e-9).holds for x in xs} == {True, False}
 
-    @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([1, 2, 8, 14, 15, 16, 17, 32],
-                                                                [8, 14]))
+    @pytest.mark.parametrize("n,crossover", with_forced_stack([1, 2, 8, 14, 15, 16, 17, 32],
+                                                              [8, 14]))
     def test_with_vectors_each_solve_is_eig_syms(self, n, crossover, monkeypatch):
         """``eig_stack`` with vectors: each decomposition has ``eig_sym``'s
-        bits, and no crossover sends it to the eigenvalues-only stacked kernel."""
-        sizes = cyclic_stack_sizes(monkeypatch, crossover)
+        bits, and below ``ROUND_ROBIN_MIN_DIM`` no crossover sends it to the
+        round-robin kernel."""
+        sizes = round_robin_stack_sizes(monkeypatch, crossover)
         xs = stack_cases(n)
         monkeypatch.setattr(eigen, "STACK_MAX_ENTRIES", 3 * n * n)  # parts of 3, 3 and 1
         for x, got in zip(xs, eigen.eig_stack(xs)):
@@ -439,24 +457,26 @@ class TestStackedEnds:
             assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
             assert got.basis.tobytes() == want.basis.tobytes()
             assert got.sweeps == want.sweeps
-        assert sizes == []
+        # the round-robin parts, then eig_sym's lone solves
+        assert sizes[:3] == ([3, 3, 1] if n >= eigen.ROUND_ROBIN_MIN_DIM else [])
 
-    @pytest.mark.parametrize("n,crossover", with_stacked_cyclic([3, 14, 16], [3, 14]))
+    @pytest.mark.parametrize("n,crossover", with_forced_stack([3, 14, 16], [3, 14]))
     def test_a_failed_solve_is_reported_in_its_place(self, n, crossover, monkeypatch):
-        sizes = cyclic_stack_sizes(monkeypatch, crossover)
+        sizes = round_robin_stack_sizes(monkeypatch, crossover)
         rng = np.random.default_rng(19)
         xs = np.array([np.eye(n), np.full((n, n), 1e200), random_symmetric(rng, n),
                        np.diag(np.arange(1.0, n + 1.0))])
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 0)
         got = eigen._spectrum_ends(xs)
         # the matrix whose norm overflows is never handed to a kernel
-        assert sizes == ([len(xs) - 1] if crossover == 1 else [])
+        round_robin = crossover == 1 or n >= eigen.ROUND_ROBIN_MIN_DIM
+        assert sizes == ([len(xs) - 1] if round_robin else [])
         assert isinstance(got[1], NumericalError) and str(got[1]) == \
             "matrix Frobenius norm overflowed"
         assert isinstance(got[2], NumericalError) and str(got[2]) == \
             "Jacobi eigensolver did not converge within 0 sweeps"
-        assert ends_bytes(got[0]) == solo_ends(xs[0])
-        assert ends_bytes(got[3]) == solo_ends(xs[3])
+        assert ends_bytes(got[0]) == solo_ends(xs[0], round_robin)
+        assert ends_bytes(got[3]) == solo_ends(xs[3], round_robin)
         (alone,) = eigen._spectrum_ends(xs[1:2])  # nothing left to solve
         assert str(alone) == "matrix Frobenius norm overflowed"
 
@@ -492,10 +512,11 @@ class TestStackedEnds:
             assert isinstance(error, InputError) and str(error) == "matrix entries must be finite"
 
 
-def cyclic_stack_cases(n):
-    """Matrices of one size for the stacked cyclic kernel: ``stack_cases``, an
-    asymmetric matrix, signed zeros, and matrices whose first rotations are
-    skipped at the rotation floor while the others' turn."""
+def small_stack_cases(n):
+    """Matrices of one size below ``ROUND_ROBIN_MIN_DIM`` for an eigenvalues-only
+    round-robin stack: ``stack_cases``, an asymmetric matrix, signed zeros,
+    and matrices whose first rotations are skipped at the rotation floor
+    while the others' turn."""
     rng = np.random.default_rng(300 + n)
     signed = random_symmetric(rng, n)
     signed[::2, ::2] = -0.0  # -0.0 on and off the diagonal, and among rotated entries
@@ -513,20 +534,21 @@ def cyclic_stack_cases(n):
 
 @pytest.mark.parametrize("max_sweeps", [0, 2, eigen.MAX_SWEEPS])
 @pytest.mark.parametrize("n", range(1, eigen.ROUND_ROBIN_MIN_DIM))
-def test_cyclic_stack_kernel_has_the_cyclic_kernels_bits(n, max_sweeps):
-    """Every diagonal and sweep count of a stacked solve is that of the
-    matrix's own ``_jacobi_kernel`` solve, by its bytes; a matrix that does
-    not converge within ``max_sweeps`` fails alone, with a NaN diagonal."""
-    xs = cyclic_stack_cases(n)
+def test_round_robin_stack_has_each_lone_solves_bits(n, max_sweeps):
+    """Below ``ROUND_ROBIN_MIN_DIM``, every diagonal and sweep count of an
+    eigenvalues-only round-robin stack is that of the matrix's own
+    round-robin solve, by its bytes; a matrix that does not converge within
+    ``max_sweeps`` fails alone, with a NaN diagonal."""
+    xs = small_stack_cases(n)
     norms = [frobenius(x) for x in xs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        diagonals, sweeps = eigen._cyclic_stack_kernel(xs, max_sweeps, eigen.OFF_DIAG_REL_TOL,
-                                                       norms)
-    assert len(diagonals) == len(sweeps) == len(xs)
+        diagonals, bases, sweeps = eigen._round_robin_kernel(
+            xs, False, max_sweeps, eigen.OFF_DIAG_REL_TOL, norms)
+    assert bases is None and len(diagonals) == len(sweeps) == len(xs)
     for x, norm, diagonal, used in zip(xs, norms, diagonals, sweeps):
-        solo, _, solo_sweeps = eigen._jacobi_kernel(x, False, max_sweeps,
-                                                    eigen.OFF_DIAG_REL_TOL, norm)
+        (solo,), _, (solo_sweeps,) = eigen._round_robin_kernel(
+            x[None], False, max_sweeps, eigen.OFF_DIAG_REL_TOL, [norm])
         assert used == solo_sweeps
         if used >= 0:
             assert np.array(diagonal).tobytes() == np.array(solo).tobytes()
@@ -647,8 +669,9 @@ def test_generated_upper_triangle_has_numpys_bits(n):
 
 @pytest.mark.parametrize("n", [6, 17])
 def test_no_solve_writes_its_input(n):
-    """Every kernel and entry point reads its input and leaves every byte of
-    it as it was: C- and Fortran-ordered matrices, strided slices of a stack."""
+    """Both kernels and every entry point read their input and leave every
+    byte of it as it was: C- and Fortran-ordered matrices, strided slices of
+    a stack, which the round-robin kernel takes at either dimension."""
     rng = np.random.default_rng(50 + n)
     stack = rng.standard_normal((4, n, 2 * n))
     stack[:, :, ::2] += stack[:, :, ::2].transpose(0, 2, 1)  # symmetric matrices in the slices
@@ -663,13 +686,9 @@ def test_no_solve_writes_its_input(n):
                                  frobenius(x))
             eigen._round_robin_kernel(x[None], vectors, eigen.MAX_SWEEPS,
                                       eigen.OFF_DIAG_REL_TOL, [frobenius(x)])
-        eigen._cyclic_stack_kernel(x[None], eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
-                                   [frobenius(x)])
         loewner_geq_zero(x)
     slices = stack[::2, :, ::2]
     eigen._spectrum_ends(slices)
-    eigen._cyclic_stack_kernel(slices, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
-                               [frobenius(x) for x in slices])
     for vectors in (True, False):
         eigen._round_robin_kernel(slices, vectors, eigen.MAX_SWEEPS, eigen.OFF_DIAG_REL_TOL,
                                   [frobenius(x) for x in slices])

@@ -1,8 +1,11 @@
 """One pair context per sweep: the per-pair spectral work runs once, and
-every weight's report keeps the bits of a separate one-weight run."""
+every weight's report keeps the verdicts of a separate one-weight run, and
+its bits where both solve their checks on one kernel."""
 
+import importlib.util
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,9 @@ import pytest
 from meancert import certify, cli, eigen, means, sandwich
 from meancert.cli import EXIT_NUMERICAL, EXIT_PASS, main
 from meancert.eigen import (
-    CYCLIC_STACK_MIN,
     DEFAULT_LOEWNER_TOL,
     ROUND_ROBIN_MIN_DIM,
+    ROUND_ROBIN_STACK_MIN,
     STACK_MAX_ENTRIES,
     congruence,
     mat_fpow,
@@ -20,6 +23,11 @@ from meancert.eigen import (
 from meancert.errors import InputError
 
 from test_cli import write_matrix
+
+_SPEC = importlib.util.spec_from_file_location(
+    "verdict_parity", Path(__file__).resolve().parent.parent / "tools" / "verdict_parity.py")
+verdict_parity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(verdict_parity)
 
 # (s0, t0): the ends of the relative spectrum
 PAIRS = {"straddle": (0.5, 3.0), "one-sided": (1.5, 6.0)}
@@ -34,6 +42,15 @@ def _pair_files(tmp_path, n, regime, seed=21):
 def _sweep(a_path, b_path, v_range, out):
     return main(["sweep", "--matrix-a", a_path, "--matrix-b", b_path,
                  "--v-range", *v_range, "--out", str(out)])
+
+
+def assert_same_verdicts(alone: str, row: str, n: int):
+    """Two CSV texts of one weight agree as ``tools/verdict_parity.py`` asks:
+    every cell exactly, but each ``resid_*`` within its bound and on the same
+    side of its tolerance."""
+    diff = verdict_parity.compare(*({"n": n, "code": 0, "stdout": text, "stderr": ""}
+                                    for text in (alone, row)))
+    assert (diff.verdicts, diff.others, diff.out_of_bound) == ([], [], [])
 
 
 @pytest.fixture
@@ -55,23 +72,17 @@ def kernel_solves(monkeypatch):
     """(kernel, input bytes, vectors) of every solve, counted inside the Jacobi
     kernels, so each matrix of a stacked solve is one solve."""
     solves = []
-    real_cyclic, real_stack, real_round_robin = (
-        eigen._jacobi_kernel, eigen._cyclic_stack_kernel, eigen._round_robin_kernel)
+    real_cyclic, real_round_robin = eigen._jacobi_kernel, eigen._round_robin_kernel
 
     def cyclic(x, vectors, *args):
         solves.append(("cyclic", x.tobytes(), vectors))
         return real_cyclic(x, vectors, *args)
-
-    def cyclic_stack(a, *args):
-        solves.extend(("cyclic-stack", x.tobytes(), False) for x in a)
-        return real_stack(a, *args)
 
     def round_robin(a, vectors, *args):
         solves.extend(("round-robin", x.tobytes(), vectors) for x in a)
         return real_round_robin(a, vectors, *args)
 
     monkeypatch.setattr(eigen, "_jacobi_kernel", cyclic)
-    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", cyclic_stack)
     monkeypatch.setattr(eigen, "_round_robin_kernel", round_robin)
     return solves
 
@@ -79,7 +90,8 @@ def kernel_solves(monkeypatch):
 @pytest.mark.parametrize("regime", list(PAIRS))
 @pytest.mark.parametrize("n,v_range", [(4, ("0.25", "1.5", "2")), (4, V_RANGE), (12, V_RANGE),
                                        (16, V_RANGE)],
-                         ids=["cyclic-2-weights", "cyclic", "cyclic-stack", "round-robin"])
+                         ids=["cyclic-2-weights", "round-robin-stack-n4", "round-robin-stack-n12",
+                              "round-robin"])
 def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, v_range, regime, kernel_solves,
                                                monkeypatch):
     a_path, b_path = _pair_files(tmp_path, n, regime)
@@ -97,20 +109,26 @@ def test_sweep_rows_are_the_one_weight_reports(tmp_path, n, v_range, regime, ker
     assert len(rows) == len(weights)
     assert v_range != V_RANGE or (0.0 in weights and 1.0 in weights)
     # the grid's checks, of its means and residuals, ran as one stack, on the
-    # kernels eigen picks for its dimension and size: fewer than
-    # CYCLIC_STACK_MIN one at a time
+    # kernels eigen picks for its dimension and size: below ROUND_ROBIN_MIN_DIM,
+    # fewer than ROUND_ROBIN_STACK_MIN one at a time on the cyclic kernel
     (shape,) = stacks
-    assert len(shape) == 3 and (shape[0] < CYCLIC_STACK_MIN) == (len(weights) == 2)
+    assert len(shape) == 3 and (shape[0] < ROUND_ROBIN_STACK_MIN) == (len(weights) == 2)
     kernels = Counter(kernel for kernel, _, _ in kernel_solves)
     assert (n >= ROUND_ROBIN_MIN_DIM) == (n == 16)
     if len(weights) == 2:
-        assert kernels["cyclic-stack"] == kernels["round-robin"] == 0
+        assert kernels["round-robin"] == 0
     else:
-        assert kernels["round-robin" if n == 16 else "cyclic-stack"] >= CYCLIC_STACK_MIN
+        assert kernels["round-robin"] >= ROUND_ROBIN_STACK_MIN
+    # a one-weight report checks one matrix at a time below ROUND_ROBIN_MIN_DIM, so
+    # a round-robin stack there moves the residuals in their last bits only
+    same_bits = n >= ROUND_ROBIN_MIN_DIM or len(weights) == 2
     a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
     for v, row in zip(weights, rows):
-        alone = cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
-        assert cli.reports_to_csv([alone]) == header + row
+        alone = cli.reports_to_csv([cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)])
+        if same_bits:
+            assert alone == header + row
+        else:
+            assert_same_verdicts(alone, header + row, n)
 
 
 def test_sweep_through_a_failing_weight_exits_as_that_check(tmp_path, capsys):
@@ -181,27 +199,36 @@ def test_a_grid_that_fails_after_stacked_weights_exits_as_that_check(tmp_path, c
     kernel_solves.clear()
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, weights, out) == EXIT_NUMERICAL
-    assert capsys.readouterr().err == first_failure
     assert not out.exists()
-    assert sum(kernel == "cyclic-stack" for kernel, _, _ in kernel_solves) >= CYCLIC_STACK_MIN
+    stacked = sum(kernel == "round-robin" for kernel, _, _ in kernel_solves)
+    assert stacked >= ROUND_ROBIN_STACK_MIN
+    # the same weight and message; the mean's smallest eigenvalue, solved in a
+    # round-robin stack, moves within the verdict-parity bound on its PD check's
+    # matrix, plus the 7 printed digits' rounding
+    text, printed = capsys.readouterr().err.rsplit(" ", 1)
+    want_text, want = first_failure.rsplit(" ", 1)
+    assert text == want_text and want_text.endswith("smallest eigenvalue")
+    mean = means.op_sharp(sandwich.PairContext(a, b), v, checked=False)
+    bound = verdict_parity.BOUND_C * a.dim * verdict_parity.EPS * max(1.0, np.linalg.norm(mean))
+    assert abs(float(printed) - float(want)) <= bound + 1e-6 * abs(float(want))
 
 
 def test_a_long_grid_is_checked_in_chunks_within_the_stack_bound(tmp_path, monkeypatch):
     n = 12
     a_path, b_path = _pair_files(tmp_path, n, "straddle")
     chunks, entries = [], []
-    real_checks, real_stack = certify._checks, eigen._cyclic_stack_kernel
+    real_checks, real_stack = certify._checks, eigen._round_robin_kernel
 
     def checks(residuals, means, tol_rel, stacked):
         chunks.append(len(residuals) + len(means))
         return real_checks(residuals, means, tol_rel, stacked)
 
-    def cyclic_stack(a, *args):
+    def round_robin(a, *args):
         entries.append(a.size)
         return real_stack(a, *args)
 
     monkeypatch.setattr(certify, "_checks", checks)
-    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", cyclic_stack)
+    monkeypatch.setattr(eigen, "_round_robin_kernel", round_robin)
     out = tmp_path / "sweep.csv"
     assert _sweep(a_path, b_path, ("0", "1", "160"), out) == EXIT_PASS
     # a chunk closes once its residuals and means hold STACK_MAX_ENTRIES
@@ -212,7 +239,7 @@ def test_a_long_grid_is_checked_in_chunks_within_the_stack_bound(tmp_path, monke
     a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
     for v, row in list(zip(np.linspace(0.0, 1.0, 160), rows))[::9]:
         alone = cli.certify_pair(a, b, v, DEFAULT_LOEWNER_TOL)
-        assert cli.reports_to_csv([alone]) == header + row
+        assert_same_verdicts(cli.reports_to_csv([alone]), header + row, n)
 
 
 @pytest.mark.parametrize("k", [1, 5, 21])
@@ -244,7 +271,7 @@ def test_a_check_from_the_crossover_up_solves_c_once(tmp_path, kernel_solves, mo
     a, b = cli.load_matrix(a_path), cli.load_matrix(b_path)
     relative = congruence(b.mat, mat_fpow(a, -0.5).mat).tobytes()
     calls = []
-    for name in ("_jacobi_kernel", "_cyclic_stack_kernel", "_round_robin_kernel"):
+    for name in ("_jacobi_kernel", "_round_robin_kernel"):
         monkeypatch.setattr(eigen, name, lambda *args, spy=getattr(eigen, name), name=name:
                             calls.append(name) or spy(*args))
     kernel_solves.clear()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from meancert import certify, cli
@@ -73,30 +74,34 @@ def test_the_tool_prints_one_line_per_workload():
     assert lines[2]["n3"] == 16 * 32 ** 3
 
 
-def test_the_sweep_line_is_the_same_on_either_cyclic_route(tmp_path, monkeypatch):
-    """The sweep-reuse unit counts the same solves whether its Loewner checks
-    run one matrix at a time, on the measured crossover, or stacked at any
-    size; only its kernel calls differ."""
+def test_the_sweep_line_is_the_same_on_either_route(tmp_path, monkeypatch):
+    """The sweep-reuse unit counts the same solves at each n, Loewner checks
+    and ``mat_fpow`` calls whether its checks run one matrix at a time on the
+    cyclic kernel, or as a round-robin stack from the measured crossover or at
+    any size; only the kernel that solves them and its calls differ."""
     work_counts = load_tool()
     monkeypatch.chdir(tmp_path)
     (argv, _), = work_counts.workloads()["sweep-reuse"]
     eigen = sys.modules["meancert.eigen"]
-    real, stacked = eigen._cyclic_stack_kernel, []
+    real, stacked = eigen._round_robin_kernel, []
 
     def spy(a, *args):
         stacked.append(len(a))
         return real(a, *args)
 
-    monkeypatch.setattr(eigen, "_cyclic_stack_kernel", spy)
+    monkeypatch.setattr(eigen, "_round_robin_kernel", spy)
     lines = {}
-    for route, crossover in (("solo", eigen.MAX_DIM ** 2), ("crossover", eigen.CYCLIC_STACK_MIN),
-                             ("always", 1)):
-        monkeypatch.setattr(eigen, "CYCLIC_STACK_MIN", crossover)
+    for route, crossover in (("solo", eigen.MAX_DIM ** 2),
+                             ("crossover", eigen.ROUND_ROBIN_STACK_MIN), ("always", 1)):
+        monkeypatch.setattr(eigen, "ROUND_ROBIN_STACK_MIN", crossover)
         stacked.clear()
         with work_counts.counting() as counts:
             assert work_counts.run_unit(argv) == cli.EXIT_PASS
         lines[route] = counts.as_dict()
         assert bool(stacked) == (route != "solo")
-    calls = {route: line.pop("kernel_calls")["cyclic"] for route, line in lines.items()}
+    calls = {route: sum(line.pop("kernel_calls").values()) for route, line in lines.items()}
+    solves = {route: sum((Counter(by_n) for by_n in line.pop("solves").values()), Counter())
+              for route, line in lines.items()}
+    assert solves["solo"] == solves["crossover"] == solves["always"]
     assert lines["solo"] == lines["crossover"] == lines["always"]
     assert calls["solo"] > calls["crossover"] >= calls["always"]

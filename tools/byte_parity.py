@@ -92,7 +92,8 @@ def cases() -> dict[str, list[str]]:
     a, b = certify.gen_instance(5, 0.3, 4.0, 7)
     out["edge/sweep-31"] = [
         "sweep", *_pair("sweep31", a.mat, b.mat), "--v-range", "-0.5", "1.5", "31"]
-    # fewer distinct residuals than eigen.CYCLIC_STACK_MIN in one sweep's stack
+    # a sweep's one stack below eigen.ROUND_ROBIN_STACK_MIN matrices: solved one
+    # at a time on the cyclic kernel, so its rows keep the one-weight reports' bits
     a, b = certify.gen_instance(4, 1.5, 6.0, SEED)
     out["edge/sweep-3-n4"] = [
         "sweep", *_pair("sweep3", a.mat, b.mat), "--v-range", "0", "1", "3"]
@@ -122,15 +123,20 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def run_case(argv: list[str]) -> str:
-    """SHA-256 of one in-process ``main`` run's exit code, stdout and stderr."""
+def capture(argv: list[str]) -> tuple:
+    """One in-process ``main`` run's exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refusing the arguments
             code = exc.code
-    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv: list[str]) -> str:
+    """SHA-256 of one in-process ``main`` run's exit code, stdout and stderr."""
+    text = "\0".join(map(str, capture(argv)))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

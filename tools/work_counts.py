@@ -16,8 +16,7 @@ Runs ``meancert.cli.main`` in this process, taking the package from
 
 A unit's counts cover the whole CLI run, the loading of both matrix files
 included.  Solves are counted inside the Jacobi kernels, so a stacked
-solve of k matrices counts k solves, under ``round_robin`` or, for the
-stacked form of the cyclic kernel, ``cyclic``, and one kernel call: a
+solve of k matrices counts k ``round_robin`` solves and one kernel call: a
 pass, whose fixed cost of numpy calls its matrices share.  A Loewner check
 is counted where the Loewner rule (``eigen._loewner_verdict``) judges a
 residual, so each residual of a stack counts one.  None of the counts
@@ -79,7 +78,6 @@ def counting():
     """
     counts = Counts()
     real_cyclic, real_round_robin = eigen._jacobi_kernel, eigen._round_robin_kernel
-    real_cyclic_stack = eigen._cyclic_stack_kernel
     real_loewner, real_fpow = eigen._loewner_verdict, eigen.mat_fpow
 
     def solving(kernel, n, k):
@@ -89,10 +87,6 @@ def counting():
     def cyclic(x, *args):
         solving("cyclic", len(x), 1)
         return real_cyclic(x, *args)
-
-    def cyclic_stack(a, *args):
-        solving("cyclic", a.shape[-1], len(a))
-        return real_cyclic_stack(a, *args)
 
     def round_robin(a, *args):
         solving("round_robin", a.shape[-1], len(a))
@@ -107,8 +101,7 @@ def counting():
         return real_fpow(x, p)
 
     wrappers = {id(real): wrapper for real, wrapper in (
-        (real_cyclic, cyclic), (real_cyclic_stack, cyclic_stack),
-        (real_round_robin, round_robin),
+        (real_cyclic, cyclic), (real_round_robin, round_robin),
         (real_loewner, loewner_verdict), (real_fpow, mat_fpow))}
     replaced = []
     modules = [m for name, m in sys.modules.items()
